@@ -39,7 +39,8 @@ print(f"reference sample: {b.n} units, weights sum to {b.d.sum():,.0f}")
 
 # Two scores collapse the four covariates into a 2-D matching space.
 fit = fit_scores(a, b)
-print(f"\nsampling-score fit: converged={fit.converged} in {fit.iterations} steps")
+print(f"\nsampling-score fit: converged in {fit.iterations} Newton steps "
+      f"(gradient norm {fit.grad_norm:.1e})")
 print(f"prognostic coefficients: {np.array2string(fit.theta_y, precision=3)}")
 
 scores = build_score_matrix(a, b, fit)

@@ -9,88 +9,24 @@ an analytic variance, wild-bootstrap confidence intervals, and a Monte
 Carlo harness for the built-in simulation study.
 """
 
-from .errors import (
-    BracketFailure,
-    DegenerateScore,
-    DomainError,
-    DsmError,
-    ExtremePropensityWarning,
-    InfeasibleRatio,
-    JTooLarge,
-    MTooLarge,
-    NonConvergence,
-    NonpositiveWeight,
-    ParseError,
-    RankDeficient,
-    RhoOutOfRange,
-    SchemaMismatch,
-    Separation,
-)
-from .estimators import (
-    PointEstimates,
-    bias_hat,
-    bias_hat_weighted,
-    dre_estimate,
-    mu_b,
-    mu_b_debiased,
-    mu_dsm,
-    mu_dsm_debiased,
-    point_estimates,
-)
-from .io import RunConfig, load_samples
-from .matching import (
-    InnerNeighbors,
-    MatchPlan,
-    find_inner_neighbors,
-    find_matches,
-    impute,
-)
-from .scores import (
-    FitOptions,
-    SampleA,
-    SampleB,
-    ScoreFit,
-    ScoreMatrix,
-    build_score_matrix,
-    fit_prognostic,
-    fit_propensity,
-    fit_scores,
-)
-from .simulation import (
-    COVERAGE_GRID,
-    NONLINEARITY_MODES,
-    SCENARIOS,
-    EstimatorRow,
-    PopulationFrame,
-    ScenarioSpec,
-    SimReport,
-    apply_scenario_views,
-    calibrate_pps,
-    calibrate_sigma,
-    calibrate_theta0,
-    gen_population,
-    poisson_sample,
-    pps_sample,
-    run_coverage_grid,
-    run_monte_carlo,
-    run_scenario_table,
-)
-from .uncertainty import (
-    MAMMEN_NEG,
-    MAMMEN_P_NEG,
-    MAMMEN_POS,
-    BootstrapSpec,
-    IntervalReport,
-    analytic_variance,
-    bootstrap_ci_debiased,
-    bootstrap_ci_plain,
-    bootstrap_ci_population,
-    mammen_draw,
-    sigma2_homoskedastic,
-    sigma2_unit,
-    sigma2_units,
-)
+from types import ModuleType as _ModuleType
+
+# Each submodule's __all__ (errors.py: its exception classes) is the one
+# list of what it exports; the package re-exports all of them.
+from .errors import *
+from .estimators import *
+from .io import *
+from .matching import *
+from .scores import *
+from .simulation import *
+from .uncertainty import *
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Everything imported above, but not the submodules themselves: `dsm.io`
+# would otherwise shadow the standard library's io under `from dsm import *`.
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

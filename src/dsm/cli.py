@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .errors import (
@@ -146,7 +145,6 @@ def _simulate_base(config: RunConfig) -> ScenarioSpec:
         n_reps=reps,
         n_boot=boot if config.table == "4" else 0,
         seed=config.seed,
-        workers=config.threads,
     )
 
 

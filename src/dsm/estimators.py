@@ -18,17 +18,7 @@ from .errors import ExtremePropensityWarning
 from .matching import MatchPlan, impute
 from .scores import SampleA, SampleB, ScoreFit
 
-__all__ = [
-    "PointEstimates",
-    "mu_b",
-    "bias_hat",
-    "mu_b_debiased",
-    "mu_dsm",
-    "bias_hat_weighted",
-    "mu_dsm_debiased",
-    "dre_estimate",
-    "point_estimates",
-]
+__all__ = ["PointEstimates", "dre_estimate", "point_estimates"]
 
 _PROPENSITY_FLOOR = 1e-6
 
@@ -47,48 +37,21 @@ class PointEstimates:
     n_hat: float
 
 
-def mu_b(plan: MatchPlan, y_a) -> float:
-    """Matching estimator of the sample-B outcome mean: the average of
-    the imputed outcomes.  Equivalently sum(k_counts * y_a) / (m * n_b),
-    since each donor's outcome enters once per match."""
-    return float(impute(plan, y_a).mean())
-
-
-def _donor_gaps(plan: MatchPlan, fit: ScoreFit, a: SampleA, b: SampleB) -> np.ndarray:
-    """Per-B-unit prognostic gap: mean donor prediction minus own
-    prediction.  Nonzero gaps measure how far matching had to reach."""
-    g_a = fit.prognostic(a.x)
-    g_b = fit.prognostic(b.x)
-    return g_a[plan.j_sets].mean(axis=1) - g_b
-
-
-def bias_hat(plan: MatchPlan, fit: ScoreFit, a: SampleA, b: SampleB) -> float:
-    """Estimated matching bias of mu_b: the average prognostic gap."""
-    return float(_donor_gaps(plan, fit, a, b).mean())
-
-
-def mu_b_debiased(plan: MatchPlan, fit: ScoreFit, a: SampleA, b: SampleB) -> float:
-    """Bias-corrected sample-B mean: mu_b minus the estimated matching
-    bias.  Identical to imputing prognostic residuals and adding back
-    each B-unit's own prediction."""
-    return mu_b(plan, a.y) - bias_hat(plan, fit, a, b)
-
-
-def mu_dsm(plan: MatchPlan, y_a, b: SampleB) -> float:
-    """Design-weighted matching estimator of the population mean."""
-    yhat = impute(plan, y_a)
-    return float(b.d @ yhat / b.d.sum())
-
-
-def bias_hat_weighted(plan: MatchPlan, fit: ScoreFit, a: SampleA, b: SampleB) -> float:
-    """Design-weighted version of the matching-bias estimate."""
-    return float(b.d @ _donor_gaps(plan, fit, a, b) / b.d.sum())
-
-
-def mu_dsm_debiased(plan: MatchPlan, fit: ScoreFit, a: SampleA, b: SampleB) -> float:
-    """Bias-corrected population mean: mu_dsm minus the weighted bias
-    estimate.  Reduces to mu_b_debiased under unit weights."""
-    return mu_dsm(plan, a.y, b) - bias_hat_weighted(plan, fit, a, b)
+def _dre(y_a, f_a, g_a, g_b, d, n_hat) -> float:
+    """Doubly robust estimate from fitted scores already evaluated on
+    both samples; warns (attributed to the public caller) when any
+    propensity drops below the floor."""
+    if np.min(f_a) < _PROPENSITY_FLOOR:
+        warnings.warn(
+            f"minimum fitted propensity {np.min(f_a):.3g} is below "
+            f"{_PROPENSITY_FLOOR:g}; inverse weighting may be unstable",
+            ExtremePropensityWarning,
+            stacklevel=3,
+        )
+    inv_f = 1.0 / f_a
+    term_a = float(inv_f @ (y_a - g_a) / inv_f.sum())
+    term_b = float(d @ g_b / n_hat)
+    return term_a + term_b
 
 
 def dre_estimate(fit: ScoreFit, a: SampleA, b: SampleB) -> float:
@@ -100,25 +63,25 @@ def dre_estimate(fit: ScoreFit, a: SampleA, b: SampleB) -> float:
     sum of d over B).  Warns when any fitted propensity drops below
     1e-6, since the residual term then rests on a handful of units.
     """
-    f_a = fit.propensity(a.x)
-    if np.min(f_a) < _PROPENSITY_FLOOR:
-        warnings.warn(
-            f"minimum fitted propensity {np.min(f_a):.3g} is below "
-            f"{_PROPENSITY_FLOOR:g}; inverse weighting may be unstable",
-            ExtremePropensityWarning,
-            stacklevel=2,
-        )
-    resid = a.y - fit.prognostic(a.x)
-    inv_f = 1.0 / f_a
-    term_a = float(inv_f @ resid / inv_f.sum())
-    term_b = float(b.d @ fit.prognostic(b.x) / b.d.sum())
-    return term_a + term_b
+    return _dre(
+        a.y, fit.propensity(a.x), fit.prognostic(a.x), fit.prognostic(b.x), b.d, b.d.sum()
+    )
 
 
 def point_estimates(plan: MatchPlan, fit: ScoreFit, a: SampleA, b: SampleB) -> PointEstimates:
-    """Compute every estimator once and collect the results."""
+    """Compute every estimator once and collect the results.
+
+    Each matching estimator averages a per-B-unit quantity, unweighted
+    (sample-B mean) or weighted by d (population mean): the imputed
+    outcome, and the prognostic gap (mean donor prediction minus own
+    prediction) that estimates its matching bias.  mu_b equals
+    sum(k_counts * y_a) / (m * n_b); under unit weights the weighted
+    family reduces to the unweighted one.
+    """
+    g_a = fit.prognostic(a.x)
+    g_b = fit.prognostic(b.x)
     yhat = impute(plan, a.y)
-    gaps = _donor_gaps(plan, fit, a, b)
+    gaps = g_a[plan.j_sets].mean(axis=1) - g_b
     n_hat = float(b.d.sum())
     mb = float(yhat.mean())
     bh = float(gaps.mean())
@@ -131,6 +94,6 @@ def point_estimates(plan: MatchPlan, fit: ScoreFit, a: SampleA, b: SampleB) -> P
         mu_dsm=md,
         bias_hat_weighted=bhw,
         mu_dsm_debiased=md - bhw,
-        dre=dre_estimate(fit, a, b),
+        dre=_dre(a.y, fit.propensity(a.x), g_a, g_b, b.d, n_hat),
         n_hat=n_hat,
     )

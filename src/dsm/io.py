@@ -39,15 +39,24 @@ class RunConfig:
     table: str | None = None
     reps: int | None = None
     scale: str = "desk"
-    threads: int | None = None
 
 
 def _read_rows(path):
+    """Header and data rows of a CSV file.
+
+    A UTF-8 byte-order mark (as in spreadsheet exports) is dropped, and so
+    are blank rows at the end of the file; a blank row anywhere else is a
+    ragged row and fails with its line number.
+    """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except OSError as err:
         raise ParseError(f"{path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+    while rows and not any(field.strip() for field in rows[-1]):
+        rows.pop()
     if not rows:
         raise SchemaMismatch(f"{path}: file is empty")
     header = [h.strip() for h in rows[0]]
@@ -62,6 +71,9 @@ def _columns(path, header, rows, names):
     missing = [n for n in names if n not in header]
     if missing:
         raise SchemaMismatch(f"{path}: missing required columns {missing}")
+    repeated = [n for n in dict.fromkeys(names) if header.count(n) > 1]
+    if repeated:
+        raise SchemaMismatch(f"{path}: required columns appear more than once {repeated}")
     idx = [header.index(n) for n in names]
     out = np.empty((len(rows), len(names)))
     for r, row in enumerate(rows):

@@ -137,12 +137,12 @@ class ScoreFit:
     covariate scale for the propensity and prognostic models; cols_r /
     cols_y record which covariate columns each model used (None = all).
     sd_f / sd_g are the pooled standard deviations used to normalize the
-    score columns.
+    score columns.  fit_scores raises when the propensity fit does not
+    converge, so every fit it returns is a converged one.
     """
 
     theta_r: np.ndarray
     theta_y: np.ndarray
-    converged: bool
     iterations: int
     grad_norm: float
     sd_f: float
@@ -342,7 +342,6 @@ def fit_scores(
     return ScoreFit(
         theta_r=theta_r,
         theta_y=theta_y,
-        converged=True,
         iterations=iters,
         grad_norm=gnorm,
         sd_f=_pooled_sd(f, "sampling"),
@@ -363,17 +362,14 @@ def _pooled_sd(values, label):
 
 
 def build_score_matrix(a: SampleA, b: SampleB, fit: ScoreFit) -> ScoreMatrix:
-    """Evaluate both scores on the pooled rows and normalize each column
-    to unit sample standard deviation (pooled, ddof=1).
+    """Evaluate both scores on the pooled rows and divide each column by
+    the pooled standard deviation (ddof=1) that fit_scores stored for the
+    same samples, giving unit-variance columns.
 
     Row order is sample A first, then sample B.
     """
-    if not fit.converged:
-        raise ValueError("cannot build scores from an unconverged fit")
     pooled = np.vstack([a.x, b.x])
-    f = fit.propensity(pooled)
-    g = fit.prognostic(pooled)
-    z = np.column_stack([f / _pooled_sd(f, "sampling"), g / _pooled_sd(g, "prognostic")])
+    z = np.column_stack([fit.propensity(pooled) / fit.sd_f, fit.prognostic(pooled) / fit.sd_g])
     in_a = np.zeros(pooled.shape[0], dtype=bool)
     in_a[: a.n] = True
     return ScoreMatrix(z=z, in_a=in_a)

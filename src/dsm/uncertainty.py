@@ -23,7 +23,6 @@ __all__ = [
     "MAMMEN_P_NEG",
     "BootstrapSpec",
     "IntervalReport",
-    "sigma2_unit",
     "sigma2_units",
     "sigma2_homoskedastic",
     "analytic_variance",
@@ -105,11 +104,6 @@ def sigma2_units(inner: InnerNeighbors, y_a) -> np.ndarray:
         raise ValueError("y_a must have one outcome per sample-A unit")
     gap = y_a - y_a[inner.l_sets].mean(axis=1)
     return (inner.j / (inner.j + 1.0)) * gap**2
-
-
-def sigma2_unit(inner: InnerNeighbors, y_a, i: int) -> float:
-    """Local residual-variance estimate for a single sample-A unit."""
-    return float(sigma2_units(inner, y_a)[i])
 
 
 def sigma2_homoskedastic(inner: InnerNeighbors, y_a) -> float:
@@ -196,6 +190,19 @@ def bootstrap_ci_plain(plan: MatchPlan, y_a, point: float, spec: BootstrapSpec) 
     return _interval(point, draws, spec.alpha)
 
 
+def _corrected_interval(plan, fit, a, b, point, spec, k, d, norm) -> IntervalReport:
+    """Interval for a bias-corrected mean, unweighted or design-weighted.
+
+    A-units contribute weighted prognostic residuals k_i*(y_i - g_i)/m,
+    B-units contribute d_i*(g_i - point); both sides get their own
+    multiplier weights and the sum is divided by norm.
+    """
+    resid_a = k * (a.y - fit.prognostic(a.x)) / plan.m
+    resid_b = d * (fit.prognostic(b.x) - point)
+    draws = _centered_draws(spec, resid_a, resid_b, norm)
+    return _interval(point, draws, spec.alpha)
+
+
 def bootstrap_ci_debiased(
     plan: MatchPlan,
     fit: ScoreFit,
@@ -204,16 +211,9 @@ def bootstrap_ci_debiased(
     point: float,
     spec: BootstrapSpec,
 ) -> IntervalReport:
-    """Interval for the bias-corrected sample-B mean.
-
-    A-units contribute weighted prognostic residuals k_i*(y_i - g_i)/m,
-    B-units contribute centered predictions g_i - point; both sides get
-    their own multiplier weights and the sum is averaged over n_b.
-    """
-    resid_a = plan.k_counts * (a.y - fit.prognostic(a.x)) / plan.m
-    resid_b = fit.prognostic(b.x) - point
-    draws = _centered_draws(spec, resid_a, resid_b, plan.n_b)
-    return _interval(point, draws, spec.alpha)
+    """Interval for the bias-corrected sample-B mean: donor counts
+    k_counts, unit B weights, averaged over n_b."""
+    return _corrected_interval(plan, fit, a, b, point, spec, plan.k_counts, 1.0, plan.n_b)
 
 
 def bootstrap_ci_population(
@@ -224,14 +224,10 @@ def bootstrap_ci_population(
     point: float,
     spec: BootstrapSpec,
 ) -> IntervalReport:
-    """Interval for the bias-corrected population mean.
-
-    Design-weighted version of the de-biased replicate: A-residuals are
-    weighted by k_weighted, B-terms by d_i, normalized by the estimated
+    """Interval for the bias-corrected population mean: weighted donor
+    counts k_weighted, B weights d_i, normalized by the estimated
     population size sum(d).  With unit weights the draws coincide with
-    bootstrap_ci_debiased under the same seed.
-    """
-    resid_a = plan.k_weighted * (a.y - fit.prognostic(a.x)) / plan.m
-    resid_b = b.d * (fit.prognostic(b.x) - point)
-    draws = _centered_draws(spec, resid_a, resid_b, float(b.d.sum()))
-    return _interval(point, draws, spec.alpha)
+    bootstrap_ci_debiased under the same seed."""
+    return _corrected_interval(
+        plan, fit, a, b, point, spec, plan.k_weighted, b.d, float(b.d.sum())
+    )

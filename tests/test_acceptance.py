@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dsm.estimators import mu_b, mu_b_debiased, mu_dsm, point_estimates
+from dsm.estimators import point_estimates
 from dsm.matching import find_matches, impute
 from dsm.scores import (
     SampleA,
@@ -82,6 +82,7 @@ def _rb(report, name):
     return report.summary(name).rb_pct
 
 
+@pytest.mark.slow
 def test_criterion_1_sample_b_mean_bias(linear_reports):
     """Matched-donor estimates of the reference-sample mean sit at the
     reference bias levels in all four specification scenarios."""
@@ -95,6 +96,7 @@ def test_criterion_1_sample_b_mean_bias(linear_reports):
     assert linear_reports["TT"].n_failed <= 0.005 * REPS
 
 
+@pytest.mark.slow
 def test_criterion_2_population_mean_bias(linear_reports):
     """Design-weighted estimators of the population mean: anchor value,
     volunteer-sample naive bias, and all estimator biases."""
@@ -113,6 +115,7 @@ def test_criterion_2_population_mean_bias(linear_reports):
             assert got == pytest.approx(want, abs=tol)
 
 
+@pytest.mark.slow
 def test_criterion_3_cubic_distortion_ordering(cubic_reports):
     """Under squared/cubed covariate distortion the matching estimator
     stays nearly unbiased while inverse-propensity weighting does not,
@@ -127,6 +130,7 @@ def test_criterion_3_cubic_distortion_ordering(cubic_reports):
     assert dre_tf > dsm_tf
 
 
+@pytest.mark.slow
 def test_criterion_4_extreme_distortion_robustness(extreme_report):
     """Fractional-exponent distortion destabilizes inverse-propensity
     weighting while both matching estimators stay moderately biased."""
@@ -139,6 +143,7 @@ def test_criterion_4_extreme_distortion_robustness(extreme_report):
     assert abs(deb) < 10.0
 
 
+@pytest.mark.slow
 def test_criterion_5_interval_coverage(coverage_rows):
     """Wild-bootstrap intervals reach nominal 95% coverage on both
     targets whenever one score model is right, and collapse when both
@@ -208,22 +213,22 @@ def test_criterion_6_core_identities():
     a, b, fit, smat = _fitted_instance(3)
     plan = find_matches(smat, 3, d_b=b.d)
     assert int(plan.k_counts.sum()) == plan.m * plan.n_b
-    point = mu_b(plan, a.y)
-    assert point == pytest.approx(float(impute(plan, a.y).mean()), abs=1e-12)
+    est = point_estimates(plan, fit, a, b)
+    assert est.mu_b == pytest.approx(float(impute(plan, a.y).mean()), abs=1e-12)
 
     # Bias-corrected mean, residual form.
     g_a, g_b = fit.prognostic(a.x), fit.prognostic(b.x)
     residual_form = float(
         np.mean([g_b[i] + (a.y[j] - g_a[j]).mean() for i, j in enumerate(plan.j_sets)])
     )
-    assert mu_b_debiased(plan, fit, a, b) == pytest.approx(residual_form, abs=1e-10)
+    assert est.mu_b_debiased == pytest.approx(residual_form, abs=1e-10)
 
     # Equal design weights collapse the weighted path onto the plain one.
     a1, b1, fit1, smat1 = _fitted_instance(6, unit_weights=True)
     plan1 = find_matches(smat1, 3, d_b=b1.d)
     assert np.array_equal(plan1.k_weighted, plan1.k_counts)
-    assert mu_dsm(plan1, a1.y, b1) == mu_b(plan1, a1.y)
     est1 = point_estimates(plan1, fit1, a1, b1)
+    assert est1.mu_dsm == est1.mu_b
     assert est1.mu_dsm_debiased == pytest.approx(est1.mu_b_debiased, abs=1e-12)
     bs = BootstrapSpec(n_draws=400, alpha=0.05, seed=11)
     ci_deb = bootstrap_ci_debiased(plan1, fit1, a1, b1, est1.mu_b_debiased, bs)
@@ -280,6 +285,7 @@ def test_criterion_6_core_identities():
         assert r1.targets[key].tobytes() == r2.targets[key].tobytes()
 
 
+@pytest.mark.slow
 def test_criterion_7_error_shrinks_with_sample_size(linear_reports):
     """Root-mean-square error of the matched-donor mean falls at roughly
     the root-n rate when both sample sizes double."""

@@ -159,6 +159,64 @@ def test_empty_file_exits_schema(sample_files, tmp_path):
     assert main(_base_args("impute", pa, str(pb), tmp_path / "o.csv")) == 2
 
 
+
+# -- spreadsheet exports ------------------------------------------------
+
+def _impute_output(pa, pb, out):
+    assert main(_base_args("impute", pa, pb, out)) == 0
+    return out.read_bytes()
+
+
+def test_utf8_bom_loads_like_plain_file(sample_files, tmp_path):
+    pa, pb = sample_files
+    plain = _impute_output(pa, pb, tmp_path / "plain.csv")
+    bom_a, bom_b = tmp_path / "bom_a.csv", tmp_path / "bom_b.csv"
+    bom_a.write_bytes(b"\xef\xbb\xbf" + open(pa, "rb").read())
+    bom_b.write_bytes(b"\xef\xbb\xbf" + open(pb, "rb").read())
+    assert _impute_output(str(bom_a), str(bom_b), tmp_path / "bom.csv") == plain
+
+
+@pytest.mark.parametrize("trailer", ["\n", "\r\n", "\n\n", ",,\n", " \n"])
+def test_trailing_blank_lines_are_ignored(sample_files, tmp_path, trailer):
+    pa, pb = sample_files
+    plain = _impute_output(pa, pb, tmp_path / "plain.csv")
+    with open(pb, "a", newline="") as fh:
+        fh.write(trailer)
+    assert _impute_output(pa, pb, tmp_path / "trailing.csv") == plain
+
+
+def test_blank_line_mid_file_exits_schema(sample_files, tmp_path, capsys):
+    pa, pb = sample_files
+    lines = open(pb, newline="").read().splitlines(keepends=True)
+    with open(pb, "w", newline="") as fh:
+        fh.writelines(lines[:3] + ["\n"] + lines[3:])
+    assert main(_base_args("impute", pa, pb, tmp_path / "o.csv")) == 2
+    assert ":4: expected 3 fields, got 0" in capsys.readouterr().err
+
+
+def test_duplicate_required_column_exits_schema(tmp_path, capsys):
+    pa = tmp_path / "a.csv"
+    pb = tmp_path / "b.csv"
+    pa.write_text("x1,y,x1\n1.0,2.0,5.0\n3.0,4.0,6.0\n")
+    pb.write_text("x1,d\n0.5,2.0\n1.5,3.0\n")
+    code = main(["impute", "--sample-a", str(pa), "--sample-b", str(pb),
+                 "--covariates", "x1", "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "a.csv" in err and "'x1'" in err and "more than once" in err
+    # A repeated column that no role needs stays harmless.
+    pa.write_text("junk,x1,y,junk\n9,1.0,2.0,9\n9,3.0,4.0,9\n")
+    a, _ = load_samples(str(pa), str(pb), RunConfig(covariates=("x1",)))
+    assert np.array_equal(a.x, [[1.0], [3.0]])
+
+
+def test_non_utf8_file_exits_schema(sample_files, tmp_path, capsys):
+    pa, _ = sample_files
+    pb = tmp_path / "latin1.csv"
+    pb.write_bytes("x1,x2,d\n0.5,1.0,2.0\n\xe9,1.0,2.0\n".encode("latin-1"))
+    assert main(_base_args("impute", pa, str(pb), tmp_path / "o.csv")) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
 def test_negative_seed_exits_numeric(sample_files, tmp_path):
     pa, pb = sample_files
     args = _base_args("impute", pa, pb, tmp_path / "o.csv", seed=-1)

@@ -14,17 +14,11 @@ from dsm import (
     SampleB,
     ScoreFit,
     ScoreMatrix,
-    bias_hat,
-    bias_hat_weighted,
     build_score_matrix,
     dre_estimate,
     find_matches,
     fit_scores,
     impute,
-    mu_b,
-    mu_b_debiased,
-    mu_dsm,
-    mu_dsm_debiased,
     point_estimates,
 )
 
@@ -53,7 +47,6 @@ def linear_fit(intercept, slope):
     return ScoreFit(
         theta_r=np.array([0.0, 0.0]),
         theta_y=np.array([float(intercept), float(slope)]),
-        converged=True,
         iterations=1,
         grad_norm=0.0,
         sd_f=1.0,
@@ -63,15 +56,26 @@ def linear_fit(intercept, slope):
     )
 
 
+def estimate(plan, y_a, b=None):
+    """point_estimates for a test that fixes only the plan, the A outcomes
+    and perhaps the B weights: covariates are a zero column and the
+    prognostic model is flat, so every bias estimate is zero."""
+    y_a = np.asarray(y_a, dtype=float)
+    a = SampleA(np.zeros((y_a.shape[0], 1)), y_a)
+    if b is None:
+        b = SampleB(np.zeros((plan.n_b, 1)), np.ones(plan.n_b))
+    return point_estimates(plan, linear_fit(0.0, 0.0), a, b)
+
+
 def test_mu_b_all_donors_is_grand_mean():
     y = np.array([1.0, 4.0, 7.0])
     plan = plan_from([[0, 1, 2], [0, 1, 2]], n_a=3)
-    assert mu_b(plan, y) == pytest.approx(4.0, abs=1e-14)
+    assert estimate(plan, y).mu_b == pytest.approx(4.0, abs=1e-14)
 
 
 def test_mu_b_constant_outcome():
     plan = plan_from([[0, 2], [1, 2]], n_a=3)
-    assert mu_b(plan, np.full(3, 5.5)) == pytest.approx(5.5, abs=1e-14)
+    assert estimate(plan, np.full(3, 5.5)).mu_b == pytest.approx(5.5, abs=1e-14)
 
 
 def test_mu_b_matches_exhaustive_matching():
@@ -86,7 +90,7 @@ def test_mu_b_matches_exhaustive_matching():
     by_hand = np.mean(
         [y[np.argsort(((za - p) ** 2).sum(axis=1), kind="stable")[:3]].mean() for p in zb]
     )
-    assert mu_b(plan, y) == pytest.approx(by_hand, abs=1e-14)
+    assert estimate(plan, y).mu_b == pytest.approx(by_hand, abs=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
@@ -108,7 +112,7 @@ def test_donor_count_dual_identity(data):
     y = np.array(data.draw(st.lists(
         st.floats(-5.0, 5.0), min_size=n_a, max_size=n_a)))
     plan = plan_from(j_sets, n_a=n_a)
-    lhs = mu_b(plan, y)
+    lhs = estimate(plan, y).mu_b
     rhs = float(plan.k_counts @ y) / (m * n_b)
     assert abs(lhs - rhs) < 1e-12
 
@@ -117,7 +121,7 @@ def test_bias_hat_zero_for_perfect_matches():
     a = SampleA(np.array([[0.0], [1.0], [2.0]]), np.zeros(3))
     b = SampleB(np.array([[1.0], [2.0]]), np.ones(2))
     plan = plan_from([[1], [2]], n_a=3)
-    assert bias_hat(plan, linear_fit(1.0, 2.0), a, b) == 0.0
+    assert point_estimates(plan, linear_fit(1.0, 2.0), a, b).bias_hat == 0.0
 
 
 def test_bias_hat_zero_for_constant_prognosis():
@@ -125,7 +129,7 @@ def test_bias_hat_zero_for_constant_prognosis():
     a = SampleA(rng.normal(size=(4, 1)), rng.normal(size=4))
     b = SampleB(rng.normal(size=(2, 1)), np.ones(2))
     plan = plan_from([[0, 3], [1, 2]], n_a=4)
-    assert bias_hat(plan, linear_fit(3.0, 0.0), a, b) == 0.0
+    assert point_estimates(plan, linear_fit(3.0, 0.0), a, b).bias_hat == 0.0
 
 
 def test_bias_hat_linear_hand_value():
@@ -134,7 +138,8 @@ def test_bias_hat_linear_hand_value():
     a = SampleA(np.array([[0.0], [1.0], [2.0], [3.0]]), np.zeros(4))
     b = SampleB(np.array([[1.0], [0.0]]), np.ones(2))
     plan = plan_from([[0, 1], [2, 3]], n_a=4)
-    assert bias_hat(plan, linear_fit(1.0, 2.0), a, b) == pytest.approx(2.0, abs=1e-14)
+    est = point_estimates(plan, linear_fit(1.0, 2.0), a, b)
+    assert est.bias_hat == pytest.approx(2.0, abs=1e-14)
 
 
 def test_debiased_two_form_identity():
@@ -150,7 +155,7 @@ def test_debiased_two_form_identity():
         j_sets = np.array([rng.choice(n_a, size=m, replace=False) for _ in range(n_b)])
         plan = plan_from(j_sets, n_a=n_a)
         fit = linear_fit(0.7, -1.3)
-        direct = mu_b_debiased(plan, fit, a, b)
+        direct = point_estimates(plan, fit, a, b).mu_b_debiased
         g_a = fit.prognostic(xa)
         g_b = fit.prognostic(xb)
         residual_form = float(np.mean(g_b + (a.y - g_a)[j_sets].mean(axis=1)))
@@ -161,9 +166,9 @@ def test_debiased_equals_plain_when_bias_vanishes():
     a = SampleA(np.array([[0.0], [2.0]]), np.array([1.0, 5.0]))
     b = SampleB(np.array([[0.0], [2.0]]), np.ones(2))
     plan = plan_from([[0], [1]], n_a=2)
-    fit = linear_fit(0.5, 1.0)
-    assert bias_hat(plan, fit, a, b) == 0.0
-    assert mu_b_debiased(plan, fit, a, b) == mu_b(plan, a.y)
+    est = point_estimates(plan, linear_fit(0.5, 1.0), a, b)
+    assert est.bias_hat == 0.0
+    assert est.mu_b_debiased == est.mu_b
 
 
 def test_debiased_with_exact_outcomes_averages_predictions():
@@ -176,7 +181,7 @@ def test_debiased_with_exact_outcomes_averages_predictions():
     b = SampleB(xb, np.ones(2))
     plan = plan_from([[0, 1], [1, 2]], n_a=3)
     expected = float(fit.prognostic(xb).mean())
-    assert mu_b_debiased(plan, fit, a, b) == pytest.approx(expected, abs=1e-12)
+    assert point_estimates(plan, fit, a, b).mu_b_debiased == pytest.approx(expected, abs=1e-12)
 
 
 def test_mu_dsm_equal_weights_reduces_to_mu_b():
@@ -184,13 +189,14 @@ def test_mu_dsm_equal_weights_reduces_to_mu_b():
     y = rng.normal(size=6)
     plan = plan_from([[0, 1], [2, 3], [4, 5]], n_a=6)
     b = SampleB(rng.normal(size=(3, 1)), np.full(3, 2.5))
-    assert abs(mu_dsm(plan, y, b) - mu_b(plan, y)) < 1e-12
+    est = estimate(plan, y, b)
+    assert abs(est.mu_dsm - est.mu_b) < 1e-12
 
 
 def test_mu_dsm_constant_outcome():
     b = SampleB(np.zeros((3, 1)), np.array([1.0, 5.0, 2.0]))
     plan = plan_from([[0], [1], [0]], n_a=2)
-    assert mu_dsm(plan, np.full(2, -3.25), b) == pytest.approx(-3.25, abs=1e-14)
+    assert estimate(plan, np.full(2, -3.25), b).mu_dsm == pytest.approx(-3.25, abs=1e-14)
 
 
 def test_mu_dsm_hand_weighted_average():
@@ -201,15 +207,15 @@ def test_mu_dsm_hand_weighted_average():
     plan = plan_from(j_sets, n_a=5, d_b=d)
     yhat = [2.0, 4.0, 3.0]
     expected = sum(w * v for w, v in zip(d, yhat)) / d.sum()
-    assert mu_dsm(plan, y, b) == pytest.approx(expected, abs=1e-14)
+    assert estimate(plan, y, b).mu_dsm == pytest.approx(expected, abs=1e-14)
 
 
 def test_mu_dsm_debiased_perfect_matches():
     a = SampleA(np.array([[0.0], [1.0], [2.0]]), np.array([2.0, 1.0, 4.0]))
     b = SampleB(np.array([[1.0], [2.0]]), np.array([3.0, 5.0]))
     plan = plan_from([[1], [2]], n_a=3, d_b=b.d)
-    fit = linear_fit(-1.0, 0.5)
-    assert mu_dsm_debiased(plan, fit, a, b) == mu_dsm(plan, a.y, b)
+    est = point_estimates(plan, linear_fit(-1.0, 0.5), a, b)
+    assert est.mu_dsm_debiased == est.mu_dsm
 
 
 def test_mu_dsm_debiased_equal_weights():
@@ -218,8 +224,8 @@ def test_mu_dsm_debiased_equal_weights():
     b = SampleB(rng.normal(size=(4, 1)), np.full(4, 3.0))
     j_sets = np.array([rng.choice(6, size=2, replace=False) for _ in range(4)])
     plan = plan_from(j_sets, n_a=6, d_b=b.d)
-    fit = linear_fit(0.2, 0.9)
-    assert abs(mu_dsm_debiased(plan, fit, a, b) - mu_b_debiased(plan, fit, a, b)) < 1e-12
+    est = point_estimates(plan, linear_fit(0.2, 0.9), a, b)
+    assert abs(est.mu_dsm_debiased - est.mu_b_debiased) < 1e-12
 
 
 def test_mu_dsm_debiased_direct_formula():
@@ -234,7 +240,7 @@ def test_mu_dsm_debiased_direct_formula():
         corrected = g_b[i] + (a.y[row] - g_a[row]).mean()
         expected += w * corrected
     expected /= b.d.sum()
-    assert mu_dsm_debiased(plan, fit, a, b) == pytest.approx(expected, abs=1e-12)
+    assert point_estimates(plan, fit, a, b).mu_dsm_debiased == pytest.approx(expected, abs=1e-12)
 
 
 def test_dre_exact_prognosis_averages_b_predictions():
@@ -252,7 +258,6 @@ def test_dre_flat_propensity_zero_prognosis():
     fit = ScoreFit(
         theta_r=np.array([-0.8473, 0.0]),
         theta_y=np.array([0.0, 0.0]),
-        converged=True,
         iterations=1,
         grad_norm=0.0,
         sd_f=1.0,
@@ -271,7 +276,6 @@ def test_dre_warns_on_extreme_propensity():
     fit = ScoreFit(
         theta_r=np.array([-40.0, 0.0]),
         theta_y=fit.theta_y,
-        converged=True,
         iterations=1,
         grad_norm=0.0,
         sd_f=1.0,
@@ -309,6 +313,8 @@ def test_location_equivariance():
 
 
 def test_point_estimates_bundle_matches_parts():
+    # Each field equals its defining formula, evaluated with the same
+    # float operations, so the bundle is exact rather than approximate.
     rng = np.random.default_rng(17)
     a = SampleA(rng.normal(size=(8, 1)), rng.normal(size=8))
     b = SampleB(rng.normal(size=(5, 1)), rng.uniform(1, 3, size=5))
@@ -316,11 +322,13 @@ def test_point_estimates_bundle_matches_parts():
     plan = plan_from(j_sets, n_a=8, d_b=b.d)
     fit = linear_fit(0.4, 1.1)
     est = point_estimates(plan, fit, a, b)
-    assert est.mu_b == mu_b(plan, a.y)
-    assert est.bias_hat == bias_hat(plan, fit, a, b)
-    assert est.mu_b_debiased == mu_b_debiased(plan, fit, a, b)
-    assert est.mu_dsm == mu_dsm(plan, a.y, b)
-    assert est.bias_hat_weighted == bias_hat_weighted(plan, fit, a, b)
-    assert est.mu_dsm_debiased == mu_dsm_debiased(plan, fit, a, b)
+    yhat = impute(plan, a.y)
+    gaps = fit.prognostic(a.x)[plan.j_sets].mean(axis=1) - fit.prognostic(b.x)
+    assert est.mu_b == float(yhat.mean())
+    assert est.bias_hat == float(gaps.mean())
+    assert est.mu_b_debiased == est.mu_b - est.bias_hat
+    assert est.mu_dsm == float(b.d @ yhat / b.d.sum())
+    assert est.bias_hat_weighted == float(b.d @ gaps / b.d.sum())
+    assert est.mu_dsm_debiased == est.mu_dsm - est.bias_hat_weighted
     assert est.dre == dre_estimate(fit, a, b)
     assert est.n_hat == pytest.approx(float(b.d.sum()))

@@ -22,7 +22,6 @@ from dsm import (
     bootstrap_ci_population,
     mammen_draw,
     sigma2_homoskedastic,
-    sigma2_unit,
     sigma2_units,
 )
 
@@ -55,7 +54,6 @@ def linear_fit(intercept, slope):
     return ScoreFit(
         theta_r=np.array([0.0, 0.0]),
         theta_y=np.array([float(intercept), float(slope)]),
-        converged=True,
         iterations=1,
         grad_norm=0.0,
         sd_f=1.0,
@@ -70,13 +68,13 @@ def linear_fit(intercept, slope):
 def test_sigma2_unit_hand_value():
     # J=1, own y 2, neighbor y 0: (1/2) * (2-0)^2 = 2.
     inner = inner_from([[1], [0]])
-    assert sigma2_unit(inner, np.array([2.0, 0.0]), 0) == pytest.approx(2.0, abs=1e-14)
+    assert sigma2_units(inner, np.array([2.0, 0.0]))[0] == pytest.approx(2.0, abs=1e-14)
 
 
 def test_sigma2_unit_equal_neighborhood():
     inner = inner_from([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
     y = np.array([1.0, 1.0, 1.0, 1.0])
-    assert sigma2_unit(inner, y, 0) == 0.0
+    assert sigma2_units(inner, y)[0] == 0.0
 
 
 def test_sigma2_units_constant_outcome():
