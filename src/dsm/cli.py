@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .errors import (
@@ -60,7 +61,6 @@ def _fit_and_match(config: RunConfig):
 
 def _fit_meta(config: RunConfig, fit, plan):
     return {
-        "seed": config.seed,
         "m": config.m,
         "n_a": plan.n_a,
         "n_b": plan.n_b,
@@ -98,8 +98,7 @@ def cmd_estimate(config: RunConfig):
     var = analytic_variance(plan, a.y, est.mu_b, inner)
     se = (var / plan.n_b) ** 0.5
 
-    n_boot = config.n_boot if config.n_boot is not None else 2000
-    bs = BootstrapSpec(n_draws=n_boot, alpha=config.alpha, seed=config.seed)
+    bs = BootstrapSpec(n_draws=config.n_boot, alpha=config.alpha, seed=config.seed)
     ci_plain = bootstrap_ci_plain(plan, a.y, est.mu_b, bs)
 
     rows = [
@@ -128,12 +127,14 @@ def cmd_estimate(config: RunConfig):
         ]
     write_csv(config.out, ("quantity", "value", "lo", "hi"), rows)
 
-    meta = _fit_meta(config, fit, plan)
-    meta.update(j=j, n_boot=n_boot, alpha=config.alpha, debias=str(config.debias).lower())
+    meta = {"seed": config.seed, **_fit_meta(config, fit, plan)}
+    meta.update(j=j, n_boot=config.n_boot, alpha=config.alpha, debias=str(config.debias).lower())
     write_meta(config.out + ".meta", meta)
 
 
 def _simulate_base(config: RunConfig) -> ScenarioSpec:
+    if config.table == "4" and config.m is not None:
+        raise ValueError("--m does not apply to table 4: the coverage grid fixes m per row")
     reps, boot = _SCALES[config.scale]
     if config.reps is not None:
         reps = config.reps
@@ -141,7 +142,7 @@ def _simulate_base(config: RunConfig) -> ScenarioSpec:
         boot = config.n_boot
     return ScenarioSpec(
         nonlinearity=_TABLE_MODE[config.table],
-        m=config.m,
+        m=ScenarioSpec.m if config.m is None else config.m,
         n_reps=reps,
         n_boot=boot if config.table == "4" else 0,
         seed=config.seed,
@@ -204,6 +205,10 @@ def cmd_simulate(config: RunConfig):
     write_meta(config.out + ".meta", meta)
 
 
+def _column_list(text: str) -> tuple:
+    return tuple(c.strip() for c in text.split(",") if c.strip())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dsm",
@@ -215,61 +220,50 @@ def build_parser() -> argparse.ArgumentParser:
     def add_data_args(p):
         p.add_argument("--sample-a", required=True, help="volunteer sample CSV")
         p.add_argument("--sample-b", required=True, help="reference sample CSV")
-        p.add_argument("--outcome", default="y", help="outcome column in sample A")
-        p.add_argument("--weight", default="d", help="design-weight column in sample B")
+        p.add_argument("--outcome", help="outcome column in sample A")
+        p.add_argument("--weight", help="design-weight column in sample B")
         p.add_argument(
-            "--covariates", required=True,
+            "--covariates", required=True, type=_column_list,
             help="comma-separated covariate column names, shared by both files",
         )
-        p.add_argument("--m", type=int, default=3, help="matches per unit")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--m", type=int, help="matches per unit")
         p.add_argument("--out", required=True, help="output CSV path")
 
-    p_imp = sub.add_parser("impute", help="write matched-donor imputations for sample B")
+    # Each dest is a RunConfig field.  An option left unset is left out of
+    # the namespace, so RunConfig's default applies.
+    no_defaults = {"argument_default": argparse.SUPPRESS}
+    p_imp = sub.add_parser(
+        "impute", help="write matched-donor imputations for sample B", **no_defaults)
     add_data_args(p_imp)
 
-    p_est = sub.add_parser("estimate", help="write point estimates and intervals")
+    p_est = sub.add_parser("estimate", help="write point estimates and intervals", **no_defaults)
     add_data_args(p_est)
-    p_est.add_argument("--j", type=int, default=None, help="inner neighbors (default 2*m)")
-    p_est.add_argument("--bootstrap", type=int, default=2000, help="bootstrap replicates")
-    p_est.add_argument("--alpha", type=float, default=0.05, help="interval miscoverage level")
+    p_est.add_argument("--j", type=int, help="inner neighbors (default 2*m)")
     p_est.add_argument(
-        "--debias", action=argparse.BooleanOptionalAction, default=True,
+        "--bootstrap", dest="n_boot", type=int, default=2000, help="bootstrap replicates",
+    )
+    p_est.add_argument("--alpha", type=float, help="interval miscoverage level")
+    p_est.add_argument(
+        "--debias", action=argparse.BooleanOptionalAction,
         help="include bias-corrected estimates and their intervals",
     )
+    p_est.add_argument("--seed", type=int, help="bootstrap seed")
 
-    p_sim = sub.add_parser("simulate", help="rerun a built-in study table")
+    p_sim = sub.add_parser("simulate", help="rerun a built-in study table", **no_defaults)
     p_sim.add_argument("--table", required=True, choices=("1", "2", "3", "4", "a1"))
-    p_sim.add_argument("--reps", type=int, default=None, help="override replication count")
-    p_sim.add_argument("--bootstrap", type=int, default=None, help="override bootstrap replicates")
-    p_sim.add_argument("--m", type=int, default=3, help="matches per unit (tables 1-3, a1)")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--scale", choices=tuple(_SCALES), default="desk")
+    p_sim.add_argument("--reps", type=int, help="override replication count")
+    p_sim.add_argument("--bootstrap", dest="n_boot", type=int, help="override bootstrap replicates")
+    p_sim.add_argument("--m", type=int, default=None, help="matches per unit (tables 1-3, a1)")
+    p_sim.add_argument("--seed", type=int, help="replication seed")
+    p_sim.add_argument("--scale", choices=tuple(_SCALES), help="replication preset")
     p_sim.add_argument("--out", required=True, help="output CSV path")
     return parser
 
 
 def _config_from(args) -> RunConfig:
-    cfg = RunConfig(
-        sample_a=getattr(args, "sample_a", None),
-        sample_b=getattr(args, "sample_b", None),
-        outcome=getattr(args, "outcome", "y"),
-        weight=getattr(args, "weight", "d"),
-        covariates=tuple(
-            c.strip() for c in getattr(args, "covariates", "").split(",") if c.strip()
-        ),
-        m=getattr(args, "m", 3),
-        j=getattr(args, "j", None),
-        n_boot=getattr(args, "bootstrap", None),
-        alpha=getattr(args, "alpha", 0.05),
-        seed=args.seed,
-        debias=getattr(args, "debias", True),
-        out=args.out,
-        table=getattr(args, "table", None),
-        reps=getattr(args, "reps", None),
-        scale=getattr(args, "scale", "desk"),
-    )
-    if args.seed < 0:
+    names = {f.name for f in fields(RunConfig)}
+    cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in names})
+    if cfg.seed < 0:
         raise ValueError("seed must be nonnegative")
     return cfg
 
@@ -287,6 +281,9 @@ def main(argv=None) -> int:
         return _EXIT_CONVERGENCE
     except (DsmError, ValueError) as err:
         print(f"dsm: {err}", file=sys.stderr)
+        return _EXIT_NUMERIC
+    except MemoryError as err:
+        print(f"dsm: out of memory: {err}", file=sys.stderr)
         return _EXIT_NUMERIC
     return 0
 

@@ -4,19 +4,18 @@ One replication builds a finite population with four dependent
 covariates and a linear outcome, draws a volunteer sample by Poisson
 sampling with covariate-driven inclusion odds and a reference sample by
 systematic probability-proportional-to-size sampling on a size variable
-tied to the third covariate, then runs every estimator under a chosen
-model-specification scenario.  Scenario tags are two letters, prognostic
-model first: a T model uses all four observed covariates, an F model
-omits the fourth, the one carrying nearly all of the volunteer sample's
-selection bias.  A nonlinearity mode distorts what the analyst observes
-(the sampling designs always act on the true covariates), so even
-T-labeled models can see a wrong functional form.
+tied to the third covariate, then runs every estimator on those samples
+under each requested model-specification scenario.  Scenario tags are
+two letters, prognostic model first: a T model uses all four observed
+covariates, an F model omits the fourth, the one carrying nearly all of
+the volunteer sample's selection bias.  A nonlinearity mode distorts
+what the analyst observes (the sampling designs always act on the true
+covariates), so even T-labeled models can see a wrong functional form.
 """
 
 from __future__ import annotations
 
 import os
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -309,13 +308,13 @@ def _observed_covariates(x, mode):
 
 # -- Monte Carlo --------------------------------------------------------
 
-def _replicate(spec: ScenarioSpec, s: int):
-    """Run replication s; returns ("ok", results) or ("fail", error name).
+def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
+    """Run replication s under each scenario; returns {scenario: ("ok",
+    results) or ("fail", error name)}.
 
-    The replication stream is keyed by (seed, s), so a given replication
-    is identical no matter how the work is scheduled, and identical
-    across scenarios sharing a seed (the samples do not depend on the
-    scenario, only the model views do).
+    The population, both samples and the bootstrap seed are drawn once,
+    from the stream keyed by (seed, s), and shared by every scenario, so
+    a replication is identical no matter how the work is scheduled.
     """
     rng = np.random.default_rng([spec.seed, s])
     pop = gen_population(spec, rng)
@@ -323,43 +322,43 @@ def _replicate(spec: ScenarioSpec, s: int):
     ib = pps_sample(pop.pi_b, spec.n_b, rng)
     boot_seed = int(rng.integers(0, 2**63))
 
-    out = {
+    shared = {
         "target_b": float(pop.cond_mean[ib].mean()),
         "target_pop": float(pop.cond_mean.mean()),
         "sample_a_mean": float(pop.y[ia].mean()),
     }
-    try:
-        xbar, cols_y, cols_r = apply_scenario_views(pop.x, spec.scenario, spec.nonlinearity)
-        a = SampleA(xbar[ia], pop.y[ia])
-        b = SampleB(xbar[ib], 1.0 / pop.pi_b[ib])
-        fit = fit_scores(a, b, FitOptions(), cols_r=cols_r, cols_y=cols_y)
-        smat = build_score_matrix(a, b, fit)
-        plan = find_matches(smat, spec.m, d_b=b.d)
-        with warnings.catch_warnings():
-            # extreme-propensity warnings are expected wholesale in the
-            # distorted-covariate modes; the report carries the numbers
-            warnings.simplefilter("ignore", ExtremePropensityWarning)
-            est = point_estimates(plan, fit, a, b)
-        out.update(
-            mu_b=est.mu_b,
-            mu_b_debiased=est.mu_b_debiased,
-            mu_dsm=est.mu_dsm,
-            mu_dsm_debiased=est.mu_dsm_debiased,
-            dre=est.dre,
-        )
-        if spec.n_boot:
-            bs = BootstrapSpec(n_draws=spec.n_boot, alpha=spec.alpha, seed=boot_seed)
-            ci_b = bootstrap_ci_debiased(plan, fit, a, b, est.mu_b_debiased, bs)
-            ci_p = bootstrap_ci_population(plan, fit, a, b, est.mu_dsm_debiased, bs)
-            out["cover_b"] = float(ci_b.lo < out["target_b"] < ci_b.hi)
-            out["cover_pop"] = float(ci_p.lo < out["target_pop"] < ci_p.hi)
-    except DsmError as err:
-        return "fail", type(err).__name__
-    return "ok", out
-
-
-def _replicate_star(args):
-    return _replicate(*args)
+    results = {}
+    for scenario in scenarios:
+        out = dict(shared)
+        try:
+            xbar, cols_y, cols_r = apply_scenario_views(pop.x, scenario, spec.nonlinearity)
+            a = SampleA(xbar[ia], pop.y[ia])
+            b = SampleB(xbar[ib], 1.0 / pop.pi_b[ib])
+            fit = fit_scores(a, b, FitOptions(), cols_r=cols_r, cols_y=cols_y)
+            smat = build_score_matrix(a, b, fit)
+            plan = find_matches(smat, spec.m, d_b=b.d)
+            with warnings.catch_warnings():
+                # extreme-propensity warnings are expected wholesale in the
+                # distorted-covariate modes; the report carries the numbers
+                warnings.simplefilter("ignore", ExtremePropensityWarning)
+                est = point_estimates(plan, fit, a, b)
+            out.update(
+                mu_b=est.mu_b,
+                mu_b_debiased=est.mu_b_debiased,
+                mu_dsm=est.mu_dsm,
+                mu_dsm_debiased=est.mu_dsm_debiased,
+                dre=est.dre,
+            )
+            if spec.n_boot:
+                bs = BootstrapSpec(n_draws=spec.n_boot, alpha=spec.alpha, seed=boot_seed)
+                ci_b = bootstrap_ci_debiased(plan, fit, a, b, est.mu_b_debiased, bs)
+                ci_p = bootstrap_ci_population(plan, fit, a, b, est.mu_dsm_debiased, bs)
+                out["cover_b"] = float(ci_b.lo < out["target_b"] < ci_b.hi)
+                out["cover_pop"] = float(ci_p.lo < out["target_pop"] < ci_p.hi)
+            results[scenario] = ("ok", out)
+        except DsmError as err:
+            results[scenario] = ("fail", type(err).__name__)
+    return results
 
 
 def _worker_count(requested) -> int:
@@ -416,7 +415,6 @@ class SimReport:
     estimates: dict
     targets: dict
     coverage: dict
-    seconds: float
 
     def target_mean(self, key: str) -> float:
         return float(self.targets[key].mean())
@@ -437,30 +435,9 @@ class SimReport:
             coverage=cov,
         )
 
-    def rows(self):
-        return [self.summary(name) for name in _TARGET_OF]
 
-
-def run_monte_carlo(spec: ScenarioSpec) -> SimReport:
-    """Run spec.n_reps replications of one scenario.
-
-    Replications failing with a package error (separation, rank loss,
-    domain problems) are dropped and counted; everything else is
-    aggregated in replication order, so reports are bit-identical for a
-    given spec no matter the worker count (set via spec.workers, the
-    DSM_THREADS environment variable, or the CPU count, in that order).
-    """
-    t0 = time.perf_counter()
-    workers = _worker_count(spec.workers)
-    if workers > 1 and spec.n_reps > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, spec.n_reps // (workers * 8))
-            results = list(
-                pool.map(_replicate_star, zip(repeat(spec), range(spec.n_reps)), chunksize=chunk)
-            )
-    else:
-        results = [_replicate(spec, s) for s in range(spec.n_reps)]
-
+def _report(spec: ScenarioSpec, results) -> SimReport:
+    """One scenario's SimReport from its results in replication order."""
     ok = [payload for status, payload in results if status == "ok"]
     failures = tuple(payload for status, payload in results if status != "ok")
     if not ok:
@@ -478,14 +455,34 @@ def run_monte_carlo(spec: ScenarioSpec) -> SimReport:
         estimates=series,
         targets=targets,
         coverage=coverage,
-        seconds=time.perf_counter() - t0,
     )
 
 
 def run_scenario_table(base: ScenarioSpec, scenarios=SCENARIOS) -> dict:
-    """Run every scenario under a shared seed (identical replication
-    data; only the model views differ) and return {scenario: SimReport}."""
-    return {sc: run_monte_carlo(replace(base, scenario=sc)) for sc in scenarios}
+    """Run base.n_reps replications, each drawing its population and
+    samples once for every scenario, and return {scenario: SimReport}.
+
+    Replications failing with a package error (separation, rank loss,
+    domain problems) are dropped and counted per scenario; everything
+    else is aggregated in replication order, so reports are bit-identical
+    for a given spec no matter the worker count (set via base.workers,
+    the DSM_THREADS environment variable, or the CPU count, in that order).
+    """
+    specs = {sc: replace(base, scenario=sc) for sc in scenarios}
+    names, reps = tuple(specs), range(base.n_reps)
+    workers = _worker_count(base.workers)
+    if workers > 1 and base.n_reps > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, base.n_reps // (workers * 8))
+            results = list(pool.map(_replicate, repeat(base), repeat(names), reps, chunksize=chunk))
+    else:
+        results = [_replicate(base, names, s) for s in reps]
+    return {sc: _report(spec, [r[sc] for r in results]) for sc, spec in specs.items()}
+
+
+def run_monte_carlo(spec: ScenarioSpec) -> SimReport:
+    """Run spec.n_reps replications of spec.scenario (see run_scenario_table)."""
+    return run_scenario_table(spec, (spec.scenario,))[spec.scenario]
 
 
 def run_coverage_grid(base: ScenarioSpec, grid=COVERAGE_GRID, scenarios=SCENARIOS):

@@ -219,8 +219,26 @@ def test_non_utf8_file_exits_schema(sample_files, tmp_path, capsys):
 
 def test_negative_seed_exits_numeric(sample_files, tmp_path):
     pa, pb = sample_files
-    args = _base_args("impute", pa, pb, tmp_path / "o.csv", seed=-1)
+    args = _base_args("estimate", pa, pb, tmp_path / "o.csv", seed=-1)
     assert main(args) == 3
+
+
+def test_impute_takes_no_seed(sample_files, tmp_path):
+    # impute draws nothing at random, so it has no --seed to set.
+    pa, pb = sample_files
+    with pytest.raises(SystemExit) as exc:
+        main(_base_args("impute", pa, pb, tmp_path / "o.csv", seed=1))
+    assert exc.value.code == 2
+
+
+def test_memory_error_exits_numeric(sample_files, tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "find_matches", exhausted)
+    pa, pb = sample_files
+    assert main(_base_args("impute", pa, pb, tmp_path / "o.csv")) == 3
+    assert capsys.readouterr().err.startswith("dsm: out of memory: Unable to allocate")
 
 
 def test_m_beyond_donor_pool_exits_numeric(sample_files, tmp_path):
@@ -251,7 +269,7 @@ def test_usage_error_exits_2():
 def test_impute_output_layout(sample_files, tmp_path):
     pa, pb = sample_files
     out = tmp_path / "imp.csv"
-    assert main(_base_args("impute", pa, pb, out, seed=5)) == 0
+    assert main(_base_args("impute", pa, pb, out)) == 0
 
     header, rows = _read_table(out)
     assert header == ["x1", "x2", "d", "y_hat", "sampling_score", "prognostic_score"]
@@ -262,7 +280,7 @@ def test_impute_output_layout(sample_files, tmp_path):
     assert np.all((values[:, 4] > 0) & (values[:, 4] < 1))
 
     meta = _read_meta(str(out) + ".meta")
-    assert meta["seed"] == "5"
+    assert "seed" not in meta
     assert meta["m"] == "3"
     assert meta["n_a"] == "12"
     assert meta["n_b"] == "40"
@@ -288,8 +306,8 @@ def test_impute_duplicate_donor_returns_its_outcome(tmp_path):
 def test_impute_rerun_byte_identical(sample_files, tmp_path):
     pa, pb = sample_files
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    assert main(_base_args("impute", pa, pb, out1, seed=9)) == 0
-    assert main(_base_args("impute", pa, pb, out2, seed=9)) == 0
+    assert main(_base_args("impute", pa, pb, out1)) == 0
+    assert main(_base_args("impute", pa, pb, out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert (tmp_path / "r1.csv.meta").read_text() == (tmp_path / "r2.csv.meta").read_text()
 
@@ -319,6 +337,7 @@ def test_estimate_report_layout(sample_files, tmp_path):
             assert lo == "" and hi == ""
 
     meta = _read_meta(str(out) + ".meta")
+    assert list(meta)[0] == "seed" and meta["seed"] == "5"
     assert meta["j"] == "6"
     assert meta["n_boot"] == "300"
     assert meta["alpha"] == "0.05"
@@ -489,6 +508,14 @@ def test_simulate_coverage_table_layout(tmp_path, monkeypatch):
     assert meta["n_boot"] == "40"
     for sc in ("TT", "FT", "TF", "FF"):
         assert f"failed_m3_200_200_{sc}" in meta
+
+
+def test_simulate_coverage_table_rejects_m(tmp_path, capsys):
+    out = tmp_path / "t4.csv"
+    code = main(["simulate", "--table", "4", "--m", "5", "--reps", "1", "--out", str(out)])
+    assert code == 3
+    assert "coverage grid fixes m per row" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- serialization ------------------------------------------------------

@@ -1,5 +1,5 @@
 """Smoke test: the walkthroughs in demos/ run to completion against the
-current package."""
+current package and leave no files behind."""
 
 import os
 import subprocess
@@ -24,3 +24,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []

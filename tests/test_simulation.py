@@ -273,10 +273,10 @@ def test_failed_replications_are_counted(monkeypatch):
 
     real = sim._replicate
 
-    def flaky(spec, s):
+    def flaky(spec, scenarios, s):
         if s == 2:
-            return "fail", Separation.__name__
-        return real(spec, s)
+            return {sc: ("fail", Separation.__name__) for sc in scenarios}
+        return real(spec, scenarios, s)
 
     monkeypatch.setattr(sim, "_replicate", flaky)
     rep = run_monte_carlo(SMALL)
@@ -286,9 +286,50 @@ def test_failed_replications_are_counted(monkeypatch):
 
 
 def test_all_failures_raise(monkeypatch):
-    monkeypatch.setattr(sim, "_replicate", lambda spec, s: ("fail", "Separation"))
+    monkeypatch.setattr(
+        sim, "_replicate",
+        lambda spec, scenarios, s: {sc: ("fail", "Separation") for sc in scenarios},
+    )
     with pytest.raises(DsmError):
         run_monte_carlo(SMALL)
+
+
+def test_failure_counts_under_its_scenario_only(monkeypatch):
+    # The second FT fit (replication 1) fails; the other scenarios of that
+    # replication, and FT in every other replication, still count.
+    from dsm.errors import Separation
+
+    real = sim.fit_scores
+    ft_fits = []
+
+    def flaky(*args, cols_r, cols_y, **kwargs):
+        if len(cols_y) == 3 and len(cols_r) == 4:
+            ft_fits.append(None)
+            if len(ft_fits) == 2:
+                raise Separation("forced")
+        return real(*args, cols_r=cols_r, cols_y=cols_y, **kwargs)
+
+    monkeypatch.setattr(sim, "fit_scores", flaky)
+    reports = run_scenario_table(SMALL)
+    assert reports["FT"].n_ok == 3 and reports["FT"].failures == ("Separation",)
+    assert np.array_equal(
+        reports["FT"].targets["target_b"], np.delete(reports["TT"].targets["target_b"], 1)
+    )
+    for sc in ("TT", "TF", "FF"):
+        assert reports[sc].n_ok == 4 and reports[sc].n_failed == 0
+
+
+def test_scenario_table_draws_each_population_once(monkeypatch):
+    real = sim.gen_population
+    calls = []
+
+    def counted(spec, rng):
+        calls.append(None)
+        return real(spec, rng)
+
+    monkeypatch.setattr(sim, "gen_population", counted)
+    run_scenario_table(SMALL)
+    assert len(calls) == SMALL.n_reps
 
 
 def test_scenario_table_shares_replication_data():
