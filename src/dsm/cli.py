@@ -4,13 +4,15 @@ Three subcommands: `impute` writes matched-donor outcome imputations for
 the reference sample, `estimate` writes all point estimates with
 analytic and bootstrap uncertainty, `simulate` reruns the built-in
 Monte Carlo study tables.  Exit codes separate failure families: 2 for
-input/schema problems, 3 for numeric/configuration problems, 4 for
-fit-convergence problems.  DSM_THREADS caps simulation parallelism.
+input, schema and output-path problems, 3 for numeric/configuration
+problems, 4 for convergence problems.  DSM_THREADS caps simulation parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import fields
 
@@ -91,14 +93,13 @@ def cmd_impute(config: RunConfig):
 def cmd_estimate(config: RunConfig):
     """Write the full estimate report: point estimates, analytic
     variance, and percentile-inverted bootstrap intervals."""
+    bs = BootstrapSpec(n_draws=config.n_boot, alpha=config.alpha, seed=config.seed)
     a, b, fit, smat, plan = _fit_and_match(config)
     est = point_estimates(plan, fit, a, b)
     j = config.j if config.j is not None else 2 * config.m
     inner = find_inner_neighbors(smat, j)
     var = analytic_variance(plan, a.y, est.mu_b, inner)
     se = (var / plan.n_b) ** 0.5
-
-    bs = BootstrapSpec(n_draws=config.n_boot, alpha=config.alpha, seed=config.seed)
     ci_plain = bootstrap_ci_plain(plan, a.y, est.mu_b, bs)
 
     rows = [
@@ -265,6 +266,10 @@ def _config_from(args) -> RunConfig:
     cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in names})
     if cfg.seed < 0:
         raise ValueError("seed must be nonnegative")
+    # Checked before any work, so a run cannot finish with nowhere to write.
+    out_dir = os.path.dirname(cfg.out) or "."
+    if not os.path.isdir(out_dir):
+        raise FileNotFoundError(errno.ENOENT, "no such directory", out_dir)
     return cfg
 
 
@@ -285,6 +290,11 @@ def main(argv=None) -> int:
     except MemoryError as err:
         print(f"dsm: out of memory: {err}", file=sys.stderr)
         return _EXIT_NUMERIC
+    except OSError as err:
+        if err.filename is None:
+            raise
+        print(f"dsm: {err.filename}: {err.strerror}", file=sys.stderr)
+        return _EXIT_SCHEMA
     return 0
 
 

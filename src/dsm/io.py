@@ -57,8 +57,8 @@ def _read_rows(path):
         raise ParseError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
     while rows and not any(field.strip() for field in rows[-1]):
         rows.pop()
-    if not rows:
-        raise SchemaMismatch(f"{path}: file is empty")
+    if len(rows) < 2:
+        raise SchemaMismatch(f"{path}: file has no data rows")
     header = [h.strip() for h in rows[0]]
     width = len(header)
     for ln, row in enumerate(rows[1:], start=2):
@@ -98,11 +98,18 @@ def load_samples(path_a, path_b, config: RunConfig):
 
     Sample A needs the covariates plus the outcome column; sample B the
     covariates plus the weight column.  Covariate order follows the
-    config, not the files, so the two matrices always line up.
+    config, not the files, so the two matrices always line up.  Each
+    column takes one role only.
     """
     cov = list(config.covariates)
     if not cov:
         raise SchemaMismatch("no covariate columns configured")
+    repeated = [c for c in dict.fromkeys(cov) if cov.count(c) > 1]
+    if repeated:
+        raise SchemaMismatch(f"covariate columns named more than once {repeated}")
+    for role, name in (("outcome", config.outcome), ("weight", config.weight)):
+        if name in cov:
+            raise SchemaMismatch(f"{role} column {name!r} is also a covariate")
 
     header_a, rows_a = _read_rows(path_a)
     header_b, rows_b = _read_rows(path_b)

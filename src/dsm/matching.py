@@ -61,13 +61,8 @@ def _sq_distances(points, donors):
 
 
 def _nearest(d2, m):
-    """Indices and squared distances of the m closest columns per row,
-    ordered by (distance, column index)."""
-    n_cand = d2.shape[1]
-    if m >= n_cand:
-        order = np.argsort(d2, axis=1, kind="stable")[:, :m]
-        return order, np.take_along_axis(d2, order, axis=1)
-
+    """Indices and squared distances of the m closest columns per row
+    (m at most the column count), ordered by (distance, column index)."""
     # Partition first, then order the m candidates.  Sorting candidate
     # indices before the stable distance sort makes ties resolve to the
     # lowest index.  Rows where a non-candidate ties the cutoff value are

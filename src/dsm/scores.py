@@ -20,7 +20,6 @@ from scipy.special import expit
 from .errors import DegenerateScore, NonConvergence, RankDeficient, Separation
 
 __all__ = [
-    "FitOptions",
     "SampleA",
     "SampleB",
     "ScoreFit",
@@ -36,24 +35,11 @@ __all__ = [
 _PIN_TOL = 1e-12
 _COEF_LIMIT = 1e6
 
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Newton iteration controls for the propensity fit.
-
-    tol is the max-norm gradient tolerance (evaluated on internally
-    standardized covariates, so it is scale-free); max_iter caps the
-    number of Newton steps.
-    """
-
-    tol: float = 1e-8
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+# Newton controls for the propensity fit: the max-norm gradient tolerance
+# (on internally standardized covariates, so it is scale-free) and the
+# cap on Newton steps.
+_TOL = 1e-8
+_MAX_ITER = 100
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -198,8 +184,6 @@ def _design(x, mu, sd):
     n = x.shape[0]
     if x.shape[1] == 0:
         return np.ones((n, 1))
-    if mu is None:
-        return np.column_stack([np.ones(n), x])
     return np.column_stack([np.ones(n), (x - mu) / sd])
 
 
@@ -210,7 +194,7 @@ def _unstandardized(theta, mu, sd):
     return np.concatenate([[theta[0] - float(slopes @ mu)], slopes])
 
 
-def _newton_propensity(xa, xb, d, opts: FitOptions):
+def _newton_propensity(xa, xb, d):
     """Maximize the design-weighted sampling likelihood.
 
     Returns (theta on the original scale, iterations used, final gradient
@@ -235,13 +219,13 @@ def _newton_propensity(xa, xb, d, opts: FitOptions):
         raise cls(msg)
 
     gnorm = np.inf
-    for it in range(opts.max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         f_b = expit(eta_b)
         grad = ga - dm_b.T @ (d * f_b)
         gnorm = float(np.max(np.abs(grad)))
-        if gnorm <= opts.tol:
+        if gnorm <= _TOL:
             return _unstandardized(theta, mu, sd), it, gnorm
-        if it == opts.max_iter:
+        if it == _MAX_ITER:
             break
 
         w = d * f_b * (1.0 - f_b)
@@ -272,10 +256,10 @@ def _newton_propensity(xa, xb, d, opts: FitOptions):
         if np.max(np.abs(_unstandardized(theta, mu, sd))) > _COEF_LIMIT:
             raise Separation("coefficients diverged; the samples are separable")
 
-    fail(f"no convergence in {opts.max_iter} iterations (gradient norm {gnorm:.3g})")
+    fail(f"no convergence in {_MAX_ITER} iterations (gradient norm {gnorm:.3g})")
 
 
-def fit_propensity(a: SampleA, b: SampleB, opts: FitOptions = FitOptions()) -> np.ndarray:
+def fit_propensity(a: SampleA, b: SampleB) -> np.ndarray:
     """Fit the sampling-score logistic model.
 
     Maximizes sum_A log(f/(1-f)) + sum_B d_i log(1-f) over intercept-first
@@ -286,8 +270,6 @@ def fit_propensity(a: SampleA, b: SampleB, opts: FitOptions = FitOptions()) -> n
     ----------
     a, b : SampleA, SampleB
         Samples with identical covariate column layout.
-    opts : FitOptions
-        Gradient tolerance and iteration cap.
 
     Returns
     -------
@@ -296,7 +278,7 @@ def fit_propensity(a: SampleA, b: SampleB, opts: FitOptions = FitOptions()) -> n
     """
     if a.x.shape[1] != b.x.shape[1]:
         raise ValueError("samples disagree on the number of covariate columns")
-    theta, _, _ = _newton_propensity(a.x, b.x, b.d, opts)
+    theta, _, _ = _newton_propensity(a.x, b.x, b.d)
     return theta
 
 
@@ -313,13 +295,7 @@ def fit_prognostic(a: SampleA) -> np.ndarray:
     return theta
 
 
-def fit_scores(
-    a: SampleA,
-    b: SampleB,
-    opts: FitOptions = FitOptions(),
-    cols_r=None,
-    cols_y=None,
-) -> ScoreFit:
+def fit_scores(a: SampleA, b: SampleB, cols_r=None, cols_y=None) -> ScoreFit:
     """Fit both score models and record normalization constants.
 
     cols_r / cols_y restrict the covariate columns each model sees
@@ -332,7 +308,7 @@ def fit_scores(
     cols_y = None if cols_y is None else tuple(cols_y)
 
     theta_r, iters, gnorm = _newton_propensity(
-        _take_cols(a.x, cols_r), _take_cols(b.x, cols_r), b.d, opts
+        _take_cols(a.x, cols_r), _take_cols(b.x, cols_r), b.d
     )
     theta_y = fit_prognostic(SampleA(_take_cols(a.x, cols_y), a.y))
 

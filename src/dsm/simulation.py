@@ -34,7 +34,7 @@ from .errors import (
 )
 from .estimators import point_estimates
 from .matching import find_matches
-from .scores import FitOptions, SampleA, SampleB, build_score_matrix, fit_scores
+from .scores import SampleA, SampleB, build_score_matrix, fit_scores
 from .uncertainty import BootstrapSpec, bootstrap_ci_debiased, bootstrap_ci_population
 
 __all__ = [
@@ -79,17 +79,19 @@ COVERAGE_GRID = (
 
 _CALIBRATION_TOL = 1e-6
 
+# max(size)/min(size) of the reference design's size variable.
+_PPS_RATIO = 50.0
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Configuration of one Monte Carlo run (a single scenario).
+    """Configuration of one Monte Carlo run, shared by all its scenarios.
 
     n_a is the expected volunteer-sample size (Poisson sampling gives a
     random realized size); n_b is the exact reference-sample size.
     n_boot = 0 skips interval construction.
     """
 
-    scenario: str = "TT"
     nonlinearity: str = "none"
     n_pop: int = 20000
     n_a: int = 500
@@ -97,14 +99,11 @@ class ScenarioSpec:
     m: int = 3
     n_reps: int = 500
     n_boot: int = 0
-    alpha: float = 0.05
     rho: float = 0.3
     seed: int = 0
     workers: int | None = None
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"scenario must be one of {SCENARIOS}")
         if self.nonlinearity not in NONLINEARITY_MODES:
             raise ValueError(f"nonlinearity must be one of {NONLINEARITY_MODES}")
         if min(self.n_pop, self.n_a, self.n_b, self.m, self.n_reps) < 1:
@@ -113,8 +112,6 @@ class ScenarioSpec:
             raise ValueError("sample sizes must be smaller than the population")
         if self.n_boot < 0:
             raise ValueError("n_boot must be nonnegative")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -128,8 +125,6 @@ class PopulationFrame:
     cond_mean: np.ndarray
     pi_a: np.ndarray
     pi_b: np.ndarray
-    sigma: float
-    theta0: float
     c_pps: float
 
     @property
@@ -184,25 +179,23 @@ def calibrate_theta0(x, target_n_a: float) -> float:
     raise BracketFailure("bisection failed to reach tolerance")
 
 
-def calibrate_pps(x3, target_n_b: int, ratio: float = 50.0):
+def calibrate_pps(x3, target_n_b: int):
     """Size variable and inclusion probabilities for the reference design.
 
     Shifts the third covariate by the constant c making max(size)/min(size)
-    equal ratio, scales to sum(pi) = target_n_b, then repairs any pi > 1
+    equal _PPS_RATIO, scales to sum(pi) = target_n_b, then repairs any pi > 1
     by capping and rescaling the rest (which preserves the total).
 
     Returns (c, pi).
     """
-    if ratio <= 1.0:
-        raise ValueError("ratio must exceed 1")
     x3 = np.asarray(x3, dtype=np.float64)
     n = x3.shape[0]
     if not 0 < target_n_b < n:
         raise ValueError("target size must lie strictly between 0 and the population size")
-    c = (x3.max() - ratio * x3.min()) / (ratio - 1.0)
+    c = (x3.max() - _PPS_RATIO * x3.min()) / (_PPS_RATIO - 1.0)
     size = c + x3
     if size.min() <= 0.0:
-        raise InfeasibleRatio(f"ratio {ratio} forces nonpositive size values")
+        raise InfeasibleRatio(f"ratio {_PPS_RATIO} forces nonpositive size values")
 
     pi = target_n_b * size / size.sum()
     capped = np.zeros(n, dtype=bool)
@@ -243,10 +236,7 @@ def gen_population(spec: ScenarioSpec, rng) -> PopulationFrame:
     theta0 = calibrate_theta0(x, spec.n_a)
     pi_a = expit(theta0 + x @ _SELECTION_SLOPES)
     c_pps, pi_b = calibrate_pps(x3, spec.n_b)
-    return PopulationFrame(
-        x=x, y=y, cond_mean=cond_mean, pi_a=pi_a, pi_b=pi_b,
-        sigma=sigma, theta0=theta0, c_pps=c_pps,
-    )
+    return PopulationFrame(x=x, y=y, cond_mean=cond_mean, pi_a=pi_a, pi_b=pi_b, c_pps=c_pps)
 
 
 def poisson_sample(pi, rng) -> np.ndarray:
@@ -334,7 +324,7 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
             xbar, cols_y, cols_r = apply_scenario_views(pop.x, scenario, spec.nonlinearity)
             a = SampleA(xbar[ia], pop.y[ia])
             b = SampleB(xbar[ib], 1.0 / pop.pi_b[ib])
-            fit = fit_scores(a, b, FitOptions(), cols_r=cols_r, cols_y=cols_y)
+            fit = fit_scores(a, b, cols_r=cols_r, cols_y=cols_y)
             smat = build_score_matrix(a, b, fit)
             plan = find_matches(smat, spec.m, d_b=b.d)
             with warnings.catch_warnings():
@@ -350,7 +340,7 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
                 dre=est.dre,
             )
             if spec.n_boot:
-                bs = BootstrapSpec(n_draws=spec.n_boot, alpha=spec.alpha, seed=boot_seed)
+                bs = BootstrapSpec(n_draws=spec.n_boot, seed=boot_seed)
                 ci_b = bootstrap_ci_debiased(plan, fit, a, b, est.mu_b_debiased, bs)
                 ci_p = bootstrap_ci_population(plan, fit, a, b, est.mu_dsm_debiased, bs)
                 out["cover_b"] = float(ci_b.lo < out["target_b"] < ci_b.hi)
@@ -392,7 +382,6 @@ class EstimatorRow:
     intervals were run."""
 
     name: str
-    target: str
     mean: float
     rb_pct: float
     mse: float
@@ -408,7 +397,6 @@ class SimReport:
     name of each dropped replication.
     """
 
-    spec: ScenarioSpec
     n_ok: int
     n_failed: int
     failures: tuple
@@ -428,7 +416,6 @@ class SimReport:
             cov = float(self.coverage[flag_key].mean())
         return EstimatorRow(
             name=name,
-            target=_TARGET_OF[name],
             mean=float(est.mean()),
             rb_pct=float(((est - tgt) / tgt).mean() * 100.0),
             mse=float(((est - tgt) ** 2).mean()),
@@ -436,7 +423,7 @@ class SimReport:
         )
 
 
-def _report(spec: ScenarioSpec, results) -> SimReport:
+def _report(results) -> SimReport:
     """One scenario's SimReport from its results in replication order."""
     ok = [payload for status, payload in results if status == "ok"]
     failures = tuple(payload for status, payload in results if status != "ok")
@@ -448,7 +435,6 @@ def _report(spec: ScenarioSpec, results) -> SimReport:
     coverage = {k: series.pop(k) for k in ("cover_b", "cover_pop") if k in series}
     targets = {k: series.pop(k) for k in ("target_b", "target_pop")}
     return SimReport(
-        spec=spec,
         n_ok=len(ok),
         n_failed=len(failures),
         failures=failures,
@@ -468,8 +454,9 @@ def run_scenario_table(base: ScenarioSpec, scenarios=SCENARIOS) -> dict:
     for a given spec no matter the worker count (set via base.workers,
     the DSM_THREADS environment variable, or the CPU count, in that order).
     """
-    specs = {sc: replace(base, scenario=sc) for sc in scenarios}
-    names, reps = tuple(specs), range(base.n_reps)
+    names, reps = tuple(dict.fromkeys(scenarios)), range(base.n_reps)
+    if not set(names) <= set(SCENARIOS):
+        raise ValueError(f"scenario must be one of {SCENARIOS}")
     workers = _worker_count(base.workers)
     if workers > 1 and base.n_reps > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -477,12 +464,12 @@ def run_scenario_table(base: ScenarioSpec, scenarios=SCENARIOS) -> dict:
             results = list(pool.map(_replicate, repeat(base), repeat(names), reps, chunksize=chunk))
     else:
         results = [_replicate(base, names, s) for s in reps]
-    return {sc: _report(spec, [r[sc] for r in results]) for sc, spec in specs.items()}
+    return {sc: _report([r[sc] for r in results]) for sc in names}
 
 
-def run_monte_carlo(spec: ScenarioSpec) -> SimReport:
-    """Run spec.n_reps replications of spec.scenario (see run_scenario_table)."""
-    return run_scenario_table(spec, (spec.scenario,))[spec.scenario]
+def run_monte_carlo(spec: ScenarioSpec, scenario: str = "TT") -> SimReport:
+    """Run spec.n_reps replications of one scenario (see run_scenario_table)."""
+    return run_scenario_table(spec, (scenario,))[scenario]
 
 
 def run_coverage_grid(base: ScenarioSpec, grid=COVERAGE_GRID, scenarios=SCENARIOS):

@@ -24,7 +24,6 @@ __all__ = [
     "BootstrapSpec",
     "IntervalReport",
     "sigma2_units",
-    "sigma2_homoskedastic",
     "analytic_variance",
     "mammen_draw",
     "bootstrap_ci_plain",
@@ -79,15 +78,10 @@ class IntervalReport:
     draws: np.ndarray
 
 
-def mammen_draw(rng, size=None):
-    """Draw from the two-point multiplier distribution.
-
-    Returns a scalar when size is None, else an ndarray of that shape.
-    """
-    u = rng.random(size)
-    if size is None:
-        return MAMMEN_NEG if u < MAMMEN_P_NEG else MAMMEN_POS
-    return np.where(u < MAMMEN_P_NEG, MAMMEN_NEG, MAMMEN_POS)
+def mammen_draw(rng, size):
+    """An ndarray of the given shape drawn from the two-point multiplier
+    distribution."""
+    return np.where(rng.random(size) < MAMMEN_P_NEG, MAMMEN_NEG, MAMMEN_POS)
 
 
 # -- residual variance and the analytic check ---------------------------
@@ -106,19 +100,7 @@ def sigma2_units(inner: InnerNeighbors, y_a) -> np.ndarray:
     return (inner.j / (inner.j + 1.0)) * gap**2
 
 
-def sigma2_homoskedastic(inner: InnerNeighbors, y_a) -> float:
-    """Common residual variance: the unweighted mean of the per-unit
-    estimates over sample A."""
-    return float(sigma2_units(inner, y_a).mean())
-
-
-def analytic_variance(
-    plan: MatchPlan,
-    y_a,
-    mu_b_hat: float,
-    inner: InnerNeighbors,
-    homoskedastic: bool = False,
-) -> float:
+def analytic_variance(plan: MatchPlan, y_a, mu_b_hat: float, inner: InnerNeighbors) -> float:
     """Analytic variance of the sample-B mean estimator, normalized so
     that sqrt(result / n_b) is the standard error of mu_b.
 
@@ -130,30 +112,22 @@ def analytic_variance(
     yhat = impute(plan, y_a)
     n_b = plan.n_b
     term_het = float(((yhat - mu_b_hat) ** 2).mean())
-    if homoskedastic:
-        s2 = np.full(plan.n_a, sigma2_homoskedastic(inner, y_a))
-    else:
-        s2 = sigma2_units(inner, y_a)
     k = plan.k_counts.astype(np.float64)
-    term_match = float((k * (k - 1.0) / plan.m**2) @ s2) / n_b
+    term_match = float((k * (k - 1.0) / plan.m**2) @ sigma2_units(inner, y_a)) / n_b
     return term_het + term_match
 
 
 # -- wild bootstrap -----------------------------------------------------
 
-def _centered_draws(spec: BootstrapSpec, resid_a, resid_b, norm):
-    """Bootstrap draws q_b = (w_a . resid_a + w_b . resid_b) / norm.
+def _centered_draws(spec: BootstrapSpec, resid, norm):
+    """Bootstrap draws q_b = (w . resid) / norm, one multiplier weight per
+    unit-level residual term.
 
     Multiplier weights come from a counter-based generator keyed by the
     seed; replicate b always consumes rows b of the (n_draws, n_units)
     uniform block, so identical seeds give identical draws regardless of
-    chunking, and a run with resid_b = None consumes only A-columns.
+    chunking.
     """
-    resid_a = np.asarray(resid_a, dtype=np.float64)
-    if resid_b is None:
-        resid = resid_a
-    else:
-        resid = np.concatenate([resid_a, np.asarray(resid_b, dtype=np.float64)])
     n = resid.shape[0]
     gen = np.random.Generator(np.random.Philox(key=spec.seed))
     out = np.empty(spec.n_draws)
@@ -186,7 +160,7 @@ def bootstrap_ci_plain(plan: MatchPlan, y_a, point: float, spec: BootstrapSpec) 
     """
     y_a = np.asarray(y_a, dtype=np.float64)
     resid_a = plan.k_counts * (y_a - point) / plan.m
-    draws = _centered_draws(spec, resid_a, None, plan.n_b)
+    draws = _centered_draws(spec, resid_a, plan.n_b)
     return _interval(point, draws, spec.alpha)
 
 
@@ -199,7 +173,7 @@ def _corrected_interval(plan, fit, a, b, point, spec, k, d, norm) -> IntervalRep
     """
     resid_a = k * (a.y - fit.prognostic(a.x)) / plan.m
     resid_b = d * (fit.prognostic(b.x) - point)
-    draws = _centered_draws(spec, resid_a, resid_b, norm)
+    draws = _centered_draws(spec, np.concatenate([resid_a, resid_b]), norm)
     return _interval(point, draws, spec.alpha)
 
 

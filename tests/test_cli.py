@@ -217,6 +217,65 @@ def test_non_utf8_file_exits_schema(sample_files, tmp_path, capsys):
     assert main(_base_args("impute", pa, str(pb), tmp_path / "o.csv")) == 2
     assert "not UTF-8" in capsys.readouterr().err
 
+def test_header_only_file_exits_schema(sample_files, tmp_path, capsys):
+    _, pb = sample_files
+    pa = tmp_path / "header_only.csv"
+    pa.write_text("x1,x2,y\n")
+    assert main(_base_args("impute", str(pa), pb, tmp_path / "o.csv")) == 2
+    assert "header_only.csv: file has no data rows" in capsys.readouterr().err
+
+
+def test_repeated_covariate_exits_schema(sample_files, tmp_path, capsys):
+    pa, pb = sample_files
+    assert main(_base_args("impute", pa, pb, tmp_path / "o.csv", covariates="x1,x1")) == 2
+    assert "named more than once ['x1']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"covariates": "x1,y"}, "outcome column 'y' is also a covariate"),
+    ({"weight": "x2"}, "weight column 'x2' is also a covariate"),
+])
+def test_role_column_as_covariate_exits_schema(sample_files, tmp_path, capsys, extra, message):
+    pa, pb = sample_files
+    assert main(_base_args("impute", pa, pb, tmp_path / "o.csv", **extra)) == 2
+    assert message in capsys.readouterr().err
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("called")
+
+
+@pytest.mark.parametrize("extra", [{"alpha": 1.5}, {"bootstrap": 1}])
+def test_bad_interval_settings_exit_before_loading(sample_files, tmp_path, monkeypatch, extra):
+    monkeypatch.setattr(cli, "load_samples", _never_called)
+    pa, pb = sample_files
+    assert main(_base_args("estimate", pa, pb, tmp_path / "o.csv", **extra)) == 3
+
+
+def test_estimate_missing_out_dir_exits_before_loading(sample_files, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "load_samples", _never_called)
+    pa, pb = sample_files
+    out = tmp_path / "absent" / "o.csv"
+    assert main(_base_args("estimate", pa, pb, out)) == 2
+    assert capsys.readouterr().err == f"dsm: {out.parent}: no such directory\n"
+
+
+def test_simulate_missing_out_dir_exits_before_running(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_scenario_table", _never_called)
+    out = tmp_path / "absent" / "t1.csv"
+    assert main(["simulate", "--table", "1", "--reps", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"dsm: {out.parent}: no such directory\n"
+
+
+@pytest.mark.parametrize("blocked", ["o.csv", "o.csv.meta"])
+def test_unwritable_output_exits_schema(sample_files, tmp_path, capsys, blocked):
+    # A directory standing where an output file goes makes its write fail.
+    (tmp_path / blocked).mkdir()
+    pa, pb = sample_files
+    assert main(_base_args("impute", pa, pb, tmp_path / "o.csv")) == 2
+    assert capsys.readouterr().err == f"dsm: {tmp_path / blocked}: Is a directory\n"
+
+
 def test_negative_seed_exits_numeric(sample_files, tmp_path):
     pa, pb = sample_files
     args = _base_args("estimate", pa, pb, tmp_path / "o.csv", seed=-1)

@@ -3,6 +3,8 @@ count-conservation and tie-breaking contracts."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsm import (
     InnerNeighbors,
@@ -31,6 +33,41 @@ def oracle_match(za, zb, m):
         d2 = ((za - point) ** 2).sum(axis=1)
         out[i] = np.lexsort((np.arange(len(za)), d2))[:m]
     return out
+
+
+def oracle_inner(za, j):
+    """Full sort per A-unit over every A-unit, self dropped by index (a
+    duplicate row ties self at distance zero, so position would not do)."""
+    out = np.empty((len(za), j), dtype=np.intp)
+    for i, point in enumerate(za):
+        d2 = ((za - point) ** 2).sum(axis=1)
+        order = np.lexsort((np.arange(len(za)), d2))
+        out[i] = order[order != i][:j]
+    return out
+
+
+# Score rows on a half-integer lattice: distances are exact, so ties are
+# exact too, at zero and at every cutoff.
+_LATTICE_ROW = st.tuples(*[st.integers(-2, 2).map(lambda v: v / 2.0)] * 2)
+
+
+@st.composite
+def lattice_instance(draw):
+    za = draw(st.lists(_LATTICE_ROW, min_size=2, max_size=10))
+    za += draw(st.lists(st.sampled_from(za), max_size=4))
+    zb = draw(st.lists(st.one_of(_LATTICE_ROW, st.sampled_from(za)), min_size=1, max_size=6))
+    return np.array(za), np.array(zb)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_instance())
+def test_matches_and_inner_neighbors_agree_with_oracle_on_ties(instance):
+    za, zb = instance
+    scores = make_scores(za, zb)
+    for m in range(1, len(za) + 1):
+        assert np.array_equal(find_matches(scores, m).j_sets, oracle_match(za, zb, m))
+    for j in range(1, len(za)):
+        assert np.array_equal(find_inner_neighbors(scores, j).l_sets, oracle_inner(za, j))
 
 
 def random_instance(rng):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import dsm.scores as dsm_scores
 from dsm import (
     DegenerateScore,
-    FitOptions,
     RankDeficient,
     SampleA,
     SampleB,
@@ -209,16 +209,17 @@ def test_column_subsets_reach_both_models():
 def test_converged_metadata():
     a, b = _pair(9)
     fit = fit_scores(a, b)
-    assert fit.grad_norm <= FitOptions().tol
-    assert 0 < fit.iterations <= FitOptions().max_iter
+    assert fit.grad_norm <= dsm_scores._TOL
+    assert 0 < fit.iterations <= dsm_scores._MAX_ITER
 
 
-def test_max_iter_exhaustion_raises():
+def test_max_iter_exhaustion_raises(monkeypatch):
     from dsm.errors import NonConvergence
 
+    monkeypatch.setattr(dsm_scores, "_MAX_ITER", 1)
     a, b = _pair(10)
     with pytest.raises((NonConvergence, Separation)):
-        fit_propensity(a, b, FitOptions(max_iter=1))
+        fit_propensity(a, b)
 
 
 def test_sample_validation():

@@ -220,15 +220,13 @@ def test_views_reject_unknown_labels():
 # -- harness ------------------------------------------------------------
 
 SMALL = ScenarioSpec(
-    scenario="TT", n_pop=4000, n_a=150, n_b=300, m=3, n_reps=4, n_boot=0,
-    seed=42, workers=1,
+    n_pop=4000, n_a=150, n_b=300, m=3, n_reps=4, n_boot=0, seed=42, workers=1,
 )
 
 
 def test_single_replication_degenerate_aggregates():
     spec = ScenarioSpec(
-        scenario="TT", n_pop=4000, n_a=150, n_b=300, m=3, n_reps=1,
-        n_boot=0, seed=11, workers=1,
+        n_pop=4000, n_a=150, n_b=300, m=3, n_reps=1, n_boot=0, seed=11, workers=1,
     )
     rep = run_monte_carlo(spec)
     assert rep.n_ok == 1 and rep.n_failed == 0
@@ -342,14 +340,21 @@ def test_scenario_table_shares_replication_data():
         assert np.array_equal(reports[sc].targets["target_pop"], base.targets["target_pop"])
 
 
+def test_unknown_scenario_rejected_before_any_draw(monkeypatch):
+    def no_draws(spec, rng):
+        raise AssertionError("population drawn")
+
+    monkeypatch.setattr(sim, "gen_population", no_draws)
+    with pytest.raises(ValueError, match="scenario must be one of"):
+        run_scenario_table(SMALL, ("TT", "ZZ"))
+    with pytest.raises(ValueError, match="scenario must be one of"):
+        run_monte_carlo(SMALL, "ZZ")
+
+
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        ScenarioSpec(scenario="ZZ")
     with pytest.raises(ValueError):
         ScenarioSpec(nonlinearity="spline")
     with pytest.raises(ValueError):
         ScenarioSpec(n_pop=100, n_b=100)
-    with pytest.raises(ValueError):
-        ScenarioSpec(alpha=1.5)
     with pytest.raises(ValueError):
         ScenarioSpec(seed=-3)

@@ -21,7 +21,6 @@ from dsm import (
     bootstrap_ci_plain,
     bootstrap_ci_population,
     mammen_draw,
-    sigma2_homoskedastic,
     sigma2_units,
 )
 
@@ -82,20 +81,6 @@ def test_sigma2_units_constant_outcome():
     assert np.all(sigma2_units(inner, np.full(3, 4.0)) == 0.0)
 
 
-def test_sigma2_homoskedastic_averages():
-    # Per-unit values come out {0, 0, 2, 2}; their mean is 1.
-    inner = inner_from([[1], [0], [3], [2]])
-    y = np.array([1.0, 1.0, 3.0, 1.0])
-    assert np.allclose(sigma2_units(inner, y), [0.0, 0.0, 2.0, 2.0])
-    assert sigma2_homoskedastic(inner, y) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_sigma2_homoskedastic_equal_units():
-    inner = inner_from([[1], [0]])
-    y = np.array([2.0, 0.0])
-    assert sigma2_homoskedastic(inner, y) == pytest.approx(2.0, abs=1e-14)
-
-
 def test_analytic_variance_no_reuse_drops_matching_term():
     # Every donor used exactly once: k*(k-1) = 0 leaves the spread term.
     y = np.array([1.0, 2.0, 5.0])
@@ -126,20 +111,6 @@ def test_analytic_variance_direct_formula():
     assert analytic_variance(plan, y, mu, inner) == pytest.approx(expected, abs=1e-14)
 
 
-def test_analytic_variance_homoskedastic_variant():
-    y = np.array([1.0, 4.0, 2.0, 0.0])
-    plan = plan_from([[0, 1], [1, 2], [1, 3]], n_a=4)
-    inner = inner_from([[1], [2], [1], [0]])
-    s2_bar = sigma2_homoskedastic(inner, y)
-    yhat = y[plan.j_sets].mean(axis=1)
-    k = plan.k_counts
-    expected = float(((yhat - 1.9) ** 2).mean()) + s2_bar * float(
-        (k * (k - 1) / plan.m**2).sum()
-    ) / plan.n_b
-    got = analytic_variance(plan, y, 1.9, inner, homoskedastic=True)
-    assert got == pytest.approx(expected, abs=1e-14)
-
-
 # -- multiplier distribution --------------------------------------------
 
 def test_mammen_support_and_probability():
@@ -148,11 +119,6 @@ def test_mammen_support_and_probability():
     assert MAMMEN_P_NEG == pytest.approx((np.sqrt(5) + 1) / (2 * np.sqrt(5)))
     draws = mammen_draw(np.random.default_rng(0), 1000)
     assert set(np.unique(draws)) == {MAMMEN_NEG, MAMMEN_POS}
-
-
-def test_mammen_scalar_draw():
-    val = mammen_draw(np.random.default_rng(1))
-    assert val in (MAMMEN_NEG, MAMMEN_POS)
 
 
 def test_mammen_moments():
