@@ -136,6 +136,8 @@ def cmd_estimate(config: RunConfig):
 def _simulate_base(config: RunConfig) -> ScenarioSpec:
     if config.table == "4" and config.m is not None:
         raise ValueError("--m does not apply to table 4: the coverage grid fixes m per row")
+    if config.table != "4" and config.n_boot is not None:
+        raise ValueError("--bootstrap applies to table 4 only: the other tables build no intervals")
     reps, boot = _SCALES[config.scale]
     if config.reps is not None:
         reps = config.reps
@@ -253,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="rerun a built-in study table", **no_defaults)
     p_sim.add_argument("--table", required=True, choices=("1", "2", "3", "4", "a1"))
     p_sim.add_argument("--reps", type=int, help="override replication count")
-    p_sim.add_argument("--bootstrap", dest="n_boot", type=int, help="override bootstrap replicates")
+    p_sim.add_argument("--bootstrap", dest="n_boot", type=int, help="bootstrap replicates (table 4)")
     p_sim.add_argument("--m", type=int, default=None, help="matches per unit (tables 1-3, a1)")
     p_sim.add_argument("--seed", type=int, help="replication seed")
     p_sim.add_argument("--scale", choices=tuple(_SCALES), help="replication preset")

@@ -56,8 +56,8 @@ class InnerNeighbors:
 
 
 def _sq_distances(points, donors):
-    diff = points[:, None, :] - donors[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    # One column pair at a time: no (points, donors, 2) difference array.
+    return (points[:, :1] - donors[:, 0]) ** 2 + (points[:, 1:] - donors[:, 1]) ** 2
 
 
 def _nearest(d2, m):
@@ -111,18 +111,15 @@ def find_matches(scores: ScoreMatrix, m: int, d_b=None) -> MatchPlan:
     n_a, n_b = za.shape[0], zb.shape[0]
     if m > n_a:
         raise MTooLarge(f"m={m} exceeds the {n_a} available donors")
-    if d_b is not None:
-        d_b = np.asarray(d_b, dtype=np.float64)
-        if d_b.shape != (n_b,):
-            raise ValueError("d_b must have one weight per sample-B unit")
+    # Sums of unit weights are exact, so k_weighted then equals k_counts.
+    d_b = np.ones(n_b) if d_b is None else np.asarray(d_b, dtype=np.float64)
+    if d_b.shape != (n_b,):
+        raise ValueError("d_b must have one weight per sample-B unit")
 
     idx, dsq = _nearest(_sq_distances(zb, za), m)
     flat = idx.ravel()
     k_counts = np.bincount(flat, minlength=n_a)
-    if d_b is None:
-        k_weighted = k_counts.astype(np.float64)
-    else:
-        k_weighted = np.bincount(flat, weights=np.repeat(d_b, m), minlength=n_a)
+    k_weighted = np.bincount(flat, weights=np.repeat(d_b, m), minlength=n_a)
     return MatchPlan(
         m=m,
         j_sets=idx,

@@ -206,6 +206,12 @@ def _newton_propensity(xa, xb, d):
     p = dm_a.shape[1]
     if np.linalg.matrix_rank(np.vstack([dm_a, dm_b])) < p:
         raise RankDeficient("pooled design matrix is rank deficient")
+    # The intercept's score equation n_A = sum_B d_i f_i, f_i < 1, needs sum(d) > n_A.
+    if d.sum() <= xa.shape[0]:
+        raise Separation(
+            f"sample-B design weights sum to {d.sum():g}, not more than the {xa.shape[0]} "
+            "sample-A units: they cannot represent a population that contains sample A"
+        )
 
     ga = dm_a.sum(axis=0)  # gradient of the linear sample-A term
     theta = np.zeros(p)

@@ -51,13 +51,15 @@ __all__ = [
     "gen_population",
     "poisson_sample",
     "pps_sample",
-    "apply_scenario_views",
+    "observed_covariates",
     "run_monte_carlo",
     "run_scenario_table",
     "run_coverage_grid",
 ]
 
 SCENARIOS = ("TT", "FT", "TF", "FF")
+# Covariate columns a scenario letter gives its model.
+_MODEL_COLUMNS = {"T": (0, 1, 2, 3), "F": (0, 1, 2)}
 NONLINEARITY_MODES = ("none", "cubic", "extreme")
 
 # Volunteer-sample selection slopes on the true covariates.
@@ -110,8 +112,8 @@ class ScenarioSpec:
             raise ValueError("sizes must be positive")
         if self.n_b >= self.n_pop or self.n_a >= self.n_pop:
             raise ValueError("sample sizes must be smaller than the population")
-        if self.n_boot < 0:
-            raise ValueError("n_boot must be nonnegative")
+        if self.n_boot < 0 or self.n_boot == 1:
+            raise ValueError("n_boot (bootstrap draws) must be 0 or at least 2")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -266,28 +268,15 @@ def pps_sample(pi, n_b: int, rng) -> np.ndarray:
     return np.sort(perm[pos])
 
 
-def apply_scenario_views(x, scenario: str, nonlinearity: str):
-    """Observed covariates and per-model column subsets for a scenario.
-
-    Returns (xbar, cols_prognostic, cols_propensity) where xbar is the
-    analyst-visible covariate matrix and each cols tuple indexes the
-    columns that model uses (F drops the fourth covariate).
-    """
-    if scenario not in SCENARIOS:
-        raise ValueError(f"scenario must be one of {SCENARIOS}")
-    xbar = _observed_covariates(np.asarray(x, dtype=np.float64), nonlinearity)
-    full, reduced = (0, 1, 2, 3), (0, 1, 2)
-    cols_y = full if scenario[0] == "T" else reduced
-    cols_r = full if scenario[1] == "T" else reduced
-    return xbar, cols_y, cols_r
-
-
-def _observed_covariates(x, mode):
-    if mode == "none":
+def observed_covariates(x, nonlinearity: str) -> np.ndarray:
+    """Analyst-visible covariates: x itself, or its squared/cubed (cubic)
+    or fractional-exponent (extreme) distortion."""
+    x = np.asarray(x, dtype=np.float64)
+    if nonlinearity == "none":
         return x
-    if mode == "cubic":
+    if nonlinearity == "cubic":
         return np.column_stack([x[:, 0], x[:, 1] ** 2, x[:, 2] ** 3, x[:, 3] ** 2])
-    if mode == "extreme":
+    if nonlinearity == "extreme":
         if np.any(x[:, 1] < 0.0) or np.any(x[:, 2] <= 0.0) or np.any(x[:, 3] <= 0.0):
             raise DomainError("fractional/negative exponents need positive covariates")
         return np.column_stack(
@@ -302,8 +291,9 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
     """Run replication s under each scenario; returns {scenario: ("ok",
     results) or ("fail", error name)}.
 
-    The population, both samples and the bootstrap seed are drawn once,
-    from the stream keyed by (seed, s), and shared by every scenario, so
+    The population, both samples (on the observed covariates) and the
+    bootstrap seed are drawn once from the stream keyed by (seed, s) and
+    shared by every scenario, which only chooses each model's columns; so
     a replication is identical no matter how the work is scheduled.
     """
     rng = np.random.default_rng([spec.seed, s])
@@ -311,6 +301,13 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
     ia = poisson_sample(pop.pi_a, rng)
     ib = pps_sample(pop.pi_b, spec.n_b, rng)
     boot_seed = int(rng.integers(0, 2**63))
+    try:
+        xbar = observed_covariates(pop.x, spec.nonlinearity)
+        a = SampleA(xbar[ia], pop.y[ia])
+        b = SampleB(xbar[ib], 1.0 / pop.pi_b[ib])
+    except DsmError as err:
+        return dict.fromkeys(scenarios, ("fail", type(err).__name__))
+    bs = BootstrapSpec(n_draws=spec.n_boot, seed=boot_seed) if spec.n_boot else None
 
     shared = {
         "target_b": float(pop.cond_mean[ib].mean()),
@@ -319,11 +316,9 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
     }
     results = {}
     for scenario in scenarios:
+        cols_y, cols_r = _MODEL_COLUMNS[scenario[0]], _MODEL_COLUMNS[scenario[1]]
         out = dict(shared)
         try:
-            xbar, cols_y, cols_r = apply_scenario_views(pop.x, scenario, spec.nonlinearity)
-            a = SampleA(xbar[ia], pop.y[ia])
-            b = SampleB(xbar[ib], 1.0 / pop.pi_b[ib])
             fit = fit_scores(a, b, cols_r=cols_r, cols_y=cols_y)
             smat = build_score_matrix(a, b, fit)
             plan = find_matches(smat, spec.m, d_b=b.d)
@@ -339,8 +334,7 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
                 mu_dsm_debiased=est.mu_dsm_debiased,
                 dre=est.dre,
             )
-            if spec.n_boot:
-                bs = BootstrapSpec(n_draws=spec.n_boot, seed=boot_seed)
+            if bs is not None:
                 ci_b = bootstrap_ci_debiased(plan, fit, a, b, est.mu_b_debiased, bs)
                 ci_p = bootstrap_ci_population(plan, fit, a, b, est.mu_dsm_debiased, bs)
                 out["cover_b"] = float(ci_b.lo < out["target_b"] < ci_b.hi)
@@ -472,11 +466,11 @@ def run_monte_carlo(spec: ScenarioSpec, scenario: str = "TT") -> SimReport:
     return run_scenario_table(spec, (scenario,))[scenario]
 
 
-def run_coverage_grid(base: ScenarioSpec, grid=COVERAGE_GRID, scenarios=SCENARIOS):
+def run_coverage_grid(base: ScenarioSpec, grid=COVERAGE_GRID):
     """Run the coverage study rows; returns a list of dicts with the row
-    sizes and {scenario: SimReport} under each."""
+    sizes and {scenario: SimReport} under each of the four scenarios."""
     out = []
     for m, n_a, n_b in grid:
         row_spec = replace(base, m=m, n_a=n_a, n_b=n_b)
-        out.append({"m": m, "n_a": n_a, "n_b": n_b, "reports": run_scenario_table(row_spec, scenarios)})
+        out.append({"m": m, "n_a": n_a, "n_b": n_b, "reports": run_scenario_table(row_spec)})
     return out

@@ -133,16 +133,28 @@ def test_ragged_row_exits_schema(sample_files, tmp_path):
     assert main(_base_args("impute", pa, pb, tmp_path / "o.csv")) == 2
 
 
-def test_non_numeric_cell_exits_schema(tmp_path, capsys):
+@pytest.mark.parametrize("cell, message", [
+    pytest.param("abc", "is not a number: 'abc'", id="abc"),
+    pytest.param("", "is empty", id="empty"),
+    pytest.param("NaN", "is not finite", id="nan"),
+    pytest.param("inf", "is not finite", id="inf"),
+])
+def test_non_numeric_cell_exits_schema(tmp_path, capsys, cell, message):
     pa = tmp_path / "a.csv"
     pb = tmp_path / "b.csv"
-    pa.write_text("x1,y\n1.0,2.0\nabc,4.0\n")
+    pa.write_text(f"x1,y\n1.0,2.0\n{cell},4.0\n")
     pb.write_text("x1,d\n0.5,2.0\n")
     code = main(["impute", "--sample-a", str(pa), "--sample-b", str(pb),
                  "--covariates", "x1", "--out", str(tmp_path / "o.csv")])
     assert code == 2
     err = capsys.readouterr().err
-    assert ":3:" in err and "abc" in err
+    assert ":3:" in err and message in err
+
+
+def test_empty_covariate_list_exits_schema(sample_files, tmp_path, capsys):
+    pa, pb = sample_files
+    assert main(_base_args("impute", pa, pb, tmp_path / "o.csv", covariates="")) == 2
+    assert "no covariate columns configured" in capsys.readouterr().err
 
 
 def test_missing_file_exits_schema(sample_files, tmp_path):
@@ -315,6 +327,16 @@ def test_separated_samples_exit_convergence(tmp_path):
         np.array([2.0, 2.0, 2.0]),
     )
     assert main(_base_args("estimate", pa, pb, tmp_path / "o.csv")) == 4
+
+
+def test_weights_not_covering_sample_a_exit_convergence(tmp_path, capsys):
+    # Unit weights with n_b <= n_a: no propensity model can fit, whatever
+    # the covariates; the message names both numbers.
+    xa, y, xb, d = _dataset(np.random.default_rng(7), n_a=12, n_b=10, unit_weights=True)
+    pa, pb = _write_pair(tmp_path, xa, y, xb, d)
+    assert main(_base_args("impute", pa, pb, tmp_path / "o.csv")) == 4
+    assert "design weights sum to 10, not more than the 12 sample-A units" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_usage_error_exits_2():
@@ -574,6 +596,29 @@ def test_simulate_coverage_table_rejects_m(tmp_path, capsys):
     code = main(["simulate", "--table", "4", "--m", "5", "--reps", "1", "--out", str(out)])
     assert code == 3
     assert "coverage grid fixes m per row" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    # Tables 1-3 and a1 build no intervals.
+    pytest.param(["--table", "2", "--bootstrap", "500"], id="table2"),
+    # One draw has no spread; rejected before any population is drawn.
+    pytest.param(["--table", "4", "--bootstrap", "1"], id="one_draw"),
+])
+def test_simulate_bootstrap_misuse_exits_numeric(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.setattr(cli, "run_scenario_table", _never_called)
+    monkeypatch.setattr(cli, "run_coverage_grid", _never_called)
+    out = tmp_path / "t.csv"
+    assert main(["simulate", *args, "--reps", "2", "--out", str(out)]) == 3
+    assert "bootstrap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_non_integer_threads_exits_numeric(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DSM_THREADS", "two")
+    out = tmp_path / "t1.csv"
+    assert main(["simulate", "--table", "1", "--reps", "2", "--out", str(out)]) == 3
+    assert "DSM_THREADS must be an integer, got 'two'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -12,10 +12,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "demo", ["mass_imputation.py", "bootstrap_intervals.py", "cli_workflow.py"]
+    "demo",
+    ["mass_imputation.py", "bootstrap_intervals.py", "cli_workflow.py", "simulation_study.py"],
 )
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    # DSM_THREADS bounds the simulation demo's process pool on many-core hosts.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path), DSM_THREADS="2")
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         env=env,

@@ -90,12 +90,39 @@ def test_intercept_only_closed_form():
     assert np.isclose(expit(theta[0]), 3.0 / 10.0, atol=1e-10)
 
 
-def test_separation_raises():
+@pytest.mark.parametrize("weight, message", [
+    # Unit weights sum to n_A, which the weight-total check rejects first.
+    pytest.param(1.0, "design weights sum to 3, not more than the 3 sample-A units", id="1.0"),
+    # Weights that could cover sample A reach the Newton iteration, which
+    # fails on the perfect split.
+    pytest.param(2.0, "singular|separable|stalled", id="2.0"),
+])
+def test_separation_raises(weight, message):
     # Covariate splits the samples perfectly: the MLE does not exist.
     a = SampleA(np.array([[1.0], [2.0], [3.0]]), np.zeros(3))
-    b = SampleB(np.array([[-1.0], [-2.0], [-3.0]]), np.ones(3))
-    with pytest.raises(Separation):
+    b = SampleB(np.array([[-1.0], [-2.0], [-3.0]]), np.full(3, weight))
+    with pytest.raises(Separation, match=message):
         fit_propensity(a, b)
+
+
+@pytest.mark.parametrize("n_b, weight, total", [(80, 1.0, "80"), (40, 2.0, "80")])
+def test_design_weights_not_covering_sample_a_raise(n_b, weight, total):
+    # Fully overlapping covariates: only the weight total rules the fit out.
+    rng = np.random.default_rng(12)
+    a = SampleA(rng.normal(size=(100, 2)), rng.normal(size=100))
+    b = SampleB(rng.normal(size=(n_b, 2)), np.full(n_b, weight))
+    with pytest.raises(Separation, match=f"weights sum to {total}, not more than the 100 sample-A"):
+        fit_propensity(a, b)
+    with pytest.raises(Separation):
+        fit_scores(a, b)
+
+
+def test_design_weights_covering_sample_a_fit():
+    rng = np.random.default_rng(12)
+    a = SampleA(rng.normal(size=(100, 2)), rng.normal(size=100))
+    b = SampleB(rng.normal(size=(80, 2)), np.full(80, 2.0))
+    fit = fit_scores(a, b)
+    assert fit.grad_norm <= dsm_scores._TOL
 
 
 def test_prognostic_exact_interpolation():

@@ -13,11 +13,11 @@ from dsm import (
     InfeasibleRatio,
     RhoOutOfRange,
     ScenarioSpec,
-    apply_scenario_views,
     calibrate_pps,
     calibrate_sigma,
     calibrate_theta0,
     gen_population,
+    observed_covariates,
     poisson_sample,
     pps_sample,
     run_monte_carlo,
@@ -171,24 +171,22 @@ def test_pps_unequal_probability_frequencies():
 def test_views_identity_under_linear_mode():
     rng = np.random.default_rng(10)
     x = np.abs(rng.normal(size=(30, 4))) + 0.1
-    xbar, cols_y, cols_r = apply_scenario_views(x, "TT", "none")
+    xbar = observed_covariates(x, "none")
     assert np.array_equal(xbar, x)
-    assert cols_y == (0, 1, 2, 3) and cols_r == (0, 1, 2, 3)
+    assert sim._MODEL_COLUMNS["T"] == (0, 1, 2, 3)
 
 
 def test_views_reduced_models_drop_fourth_covariate():
-    x = np.abs(np.random.default_rng(11).normal(size=(10, 4))) + 0.1
-    _, cols_y, cols_r = apply_scenario_views(x, "FT", "none")
-    assert cols_y == (0, 1, 2) and cols_r == (0, 1, 2, 3)
-    _, cols_y, cols_r = apply_scenario_views(x, "TF", "none")
-    assert cols_y == (0, 1, 2, 3) and cols_r == (0, 1, 2)
-    _, cols_y, cols_r = apply_scenario_views(x, "FF", "none")
-    assert cols_y == (0, 1, 2) and cols_r == (0, 1, 2)
+    # Prognostic model first: FT reduces only the prognostic model.
+    cols = {sc: (sim._MODEL_COLUMNS[sc[0]], sim._MODEL_COLUMNS[sc[1]]) for sc in sim.SCENARIOS}
+    assert cols["FT"] == ((0, 1, 2), (0, 1, 2, 3))
+    assert cols["TF"] == ((0, 1, 2, 3), (0, 1, 2))
+    assert cols["FF"] == ((0, 1, 2), (0, 1, 2))
 
 
 def test_views_cubic_transforms():
     x = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.5, 1.5, 2.5]])
-    xbar, _, _ = apply_scenario_views(x, "TT", "cubic")
+    xbar = observed_covariates(x, "cubic")
     assert np.array_equal(xbar[:, 0], x[:, 0])
     assert np.array_equal(xbar[:, 1], x[:, 1] ** 2)
     assert np.array_equal(xbar[:, 2], x[:, 2] ** 3)
@@ -197,7 +195,7 @@ def test_views_cubic_transforms():
 
 def test_views_extreme_transforms():
     x = np.array([[1.0, 2.0, 4.0, 2.0]])
-    xbar, _, _ = apply_scenario_views(x, "TT", "extreme")
+    xbar = observed_covariates(x, "extreme")
     assert xbar[0, 1] == pytest.approx(2.0**1.15)
     assert xbar[0, 2] == pytest.approx(4.0**-0.85)
     assert xbar[0, 3] == pytest.approx(2.0**-1.15)
@@ -206,15 +204,15 @@ def test_views_extreme_transforms():
 def test_views_extreme_domain_error():
     x = np.array([[1.0, 2.0, -1.0, 2.0]])
     with pytest.raises(DomainError):
-        apply_scenario_views(x, "TT", "extreme")
+        observed_covariates(x, "extreme")
 
 
 def test_views_reject_unknown_labels():
     x = np.ones((2, 4))
     with pytest.raises(ValueError):
-        apply_scenario_views(x, "XX", "none")
+        run_scenario_table(SMALL, ("XX",))
     with pytest.raises(ValueError):
-        apply_scenario_views(x, "TT", "quartic")
+        observed_covariates(x, "quartic")
 
 
 # -- harness ------------------------------------------------------------
@@ -330,6 +328,34 @@ def test_scenario_table_draws_each_population_once(monkeypatch):
     assert len(calls) == SMALL.n_reps
 
 
+def test_replication_builds_its_samples_once(monkeypatch):
+    # A scenario only chooses model columns: one observed-covariate view
+    # and one pair of samples per replication, whatever the scenario count.
+    calls = {"view": 0, "a": 0, "b": 0}
+
+    def counted(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sim, "observed_covariates", counted("view", sim.observed_covariates))
+    monkeypatch.setattr(sim, "SampleA", counted("a", sim.SampleA))
+    monkeypatch.setattr(sim, "SampleB", counted("b", sim.SampleB))
+    reports = run_scenario_table(SMALL)
+    assert len(reports) == 4
+    assert calls == {"view": SMALL.n_reps, "a": SMALL.n_reps, "b": SMALL.n_reps}
+
+
+def test_sample_build_failure_fails_every_scenario(monkeypatch):
+    def out_of_domain(x, nonlinearity):
+        raise DomainError("forced")
+
+    monkeypatch.setattr(sim, "observed_covariates", out_of_domain)
+    results = sim._replicate(SMALL, sim.SCENARIOS, 0)
+    assert results == {sc: ("fail", "DomainError") for sc in sim.SCENARIOS}
+
+
 def test_scenario_table_shares_replication_data():
     # One seed drives every scenario: the targets are identical series,
     # so scenario columns differ only through the model views.
@@ -358,3 +384,8 @@ def test_spec_validation():
         ScenarioSpec(n_pop=100, n_b=100)
     with pytest.raises(ValueError):
         ScenarioSpec(seed=-3)
+    # One bootstrap draw has no spread; it fails here, before any draw.
+    for n_boot in (-1, 1):
+        with pytest.raises(ValueError, match="n_boot"):
+            ScenarioSpec(n_boot=n_boot)
+    assert ScenarioSpec(n_boot=2).n_boot == 2
