@@ -25,23 +25,17 @@ from .errors import (
     SchemaMismatch,
     Separation,
 )
-from .estimators import point_estimates
 from .io import RunConfig, load_samples, write_csv, write_meta
 from .matching import find_inner_neighbors, find_matches, impute
 from .scores import build_score_matrix, fit_scores
 from .simulation import (
     COVERAGE_GRID,
     ScenarioSpec,
+    _analyse,
     run_coverage_grid,
     run_scenario_table,
 )
-from .uncertainty import (
-    BootstrapSpec,
-    analytic_variance,
-    bootstrap_ci_debiased,
-    bootstrap_ci_plain,
-    bootstrap_ci_population,
-)
+from .uncertainty import BootstrapSpec, analytic_variance, bootstrap_ci_plain
 
 _EXIT_SCHEMA = 2
 _EXIT_NUMERIC = 3
@@ -51,14 +45,6 @@ _EXIT_CONVERGENCE = 4
 _SCALES = {"desk": (500, 1000), "paper": (2000, 2000)}
 
 _TABLE_MODE = {"1": "none", "2": "none", "3": "cubic", "a1": "extreme", "4": "none"}
-
-
-def _fit_and_match(config: RunConfig):
-    a, b = load_samples(config.sample_a, config.sample_b, config)
-    fit = fit_scores(a, b)
-    smat = build_score_matrix(a, b, fit)
-    plan = find_matches(smat, config.m, d_b=b.d)
-    return a, b, fit, smat, plan
 
 
 def _fit_meta(config: RunConfig, fit, plan):
@@ -76,7 +62,9 @@ def _fit_meta(config: RunConfig, fit, plan):
 def cmd_impute(config: RunConfig):
     """Write one row per sample-B unit: covariates, weight, imputed
     outcome, and both fitted scores."""
-    a, b, fit, smat, plan = _fit_and_match(config)
+    a, b = load_samples(config.sample_a, config.sample_b, config)
+    fit = fit_scores(a, b)
+    plan = find_matches(build_score_matrix(a, b, fit), config.m, d_b=b.d)
     yhat = impute(plan, a.y)
     f_b = fit.propensity(b.x)
     g_b = fit.prognostic(b.x)
@@ -94,8 +82,8 @@ def cmd_estimate(config: RunConfig):
     """Write the full estimate report: point estimates, analytic
     variance, and percentile-inverted bootstrap intervals."""
     bs = BootstrapSpec(n_draws=config.n_boot, alpha=config.alpha, seed=config.seed)
-    a, b, fit, smat, plan = _fit_and_match(config)
-    est = point_estimates(plan, fit, a, b)
+    a, b = load_samples(config.sample_a, config.sample_b, config)
+    fit, smat, plan, est, ci_deb, ci_pop = _analyse(a, b, config.m, bs if config.debias else None)
     j = config.j if config.j is not None else 2 * config.m
     inner = find_inner_neighbors(smat, j)
     var = analytic_variance(plan, a.y, est.mu_b, inner)
@@ -112,8 +100,6 @@ def cmd_estimate(config: RunConfig):
         ("ci_plain", est.mu_b, ci_plain.lo, ci_plain.hi),
     ]
     if config.debias:
-        ci_deb = bootstrap_ci_debiased(plan, fit, a, b, est.mu_b_debiased, bs)
-        ci_pop = bootstrap_ci_population(plan, fit, a, b, est.mu_dsm_debiased, bs)
         rows[1:1] = [
             ("mu_b_debiased", est.mu_b_debiased, "", ""),
             ("bias_hat", est.bias_hat, "", ""),

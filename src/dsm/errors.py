@@ -26,6 +26,10 @@ class NonpositiveWeight(DsmError):
 
 # -- numeric / configuration --------------------------------------------
 
+class EmptySample(DsmError):
+    """A sample has no units."""
+
+
 class RankDeficient(DsmError):
     """Design matrix does not have full column rank."""
 

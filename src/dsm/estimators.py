@@ -18,7 +18,7 @@ from .errors import ExtremePropensityWarning
 from .matching import MatchPlan, impute
 from .scores import SampleA, SampleB, ScoreFit
 
-__all__ = ["PointEstimates", "dre_estimate", "point_estimates"]
+__all__ = ["PointEstimates", "point_estimates"]
 
 _PROPENSITY_FLOOR = 1e-6
 
@@ -37,37 +37,6 @@ class PointEstimates:
     n_hat: float
 
 
-def _dre(y_a, f_a, g_a, g_b, d, n_hat) -> float:
-    """Doubly robust estimate from fitted scores already evaluated on
-    both samples; warns (attributed to the public caller) when any
-    propensity drops below the floor."""
-    if np.min(f_a) < _PROPENSITY_FLOOR:
-        warnings.warn(
-            f"minimum fitted propensity {np.min(f_a):.3g} is below "
-            f"{_PROPENSITY_FLOOR:g}; inverse weighting may be unstable",
-            ExtremePropensityWarning,
-            stacklevel=3,
-        )
-    inv_f = 1.0 / f_a
-    term_a = float(inv_f @ (y_a - g_a) / inv_f.sum())
-    term_b = float(d @ g_b / n_hat)
-    return term_a + term_b
-
-
-def dre_estimate(fit: ScoreFit, a: SampleA, b: SampleB) -> float:
-    """Doubly robust population-mean estimator.
-
-    Inverse-propensity-weighted prognostic residuals from sample A plus
-    the design-weighted mean prediction from sample B, each term
-    normalized by its own estimated population size (sum of 1/f over A,
-    sum of d over B).  Warns when any fitted propensity drops below
-    1e-6, since the residual term then rests on a handful of units.
-    """
-    return _dre(
-        a.y, fit.propensity(a.x), fit.prognostic(a.x), fit.prognostic(b.x), b.d, b.d.sum()
-    )
-
-
 def point_estimates(plan: MatchPlan, fit: ScoreFit, a: SampleA, b: SampleB) -> PointEstimates:
     """Compute every estimator once and collect the results.
 
@@ -77,9 +46,23 @@ def point_estimates(plan: MatchPlan, fit: ScoreFit, a: SampleA, b: SampleB) -> P
     prediction) that estimates its matching bias.  mu_b equals
     sum(k_counts * y_a) / (m * n_b); under unit weights the weighted
     family reduces to the unweighted one.
+
+    The doubly robust estimator adds A's inverse-propensity-weighted
+    prognostic residuals to B's design-weighted mean prediction, each
+    normalized by its own population-size estimate (sum of 1/f, sum of
+    d).  It warns when a fitted propensity drops below 1e-6, since the
+    residual term then rests on a handful of units.
     """
     g_a = fit.prognostic(a.x)
     g_b = fit.prognostic(b.x)
+    f_a = fit.propensity(a.x)
+    if np.min(f_a) < _PROPENSITY_FLOOR:
+        warnings.warn(
+            f"minimum fitted propensity {np.min(f_a):.3g} is below "
+            f"{_PROPENSITY_FLOOR:g}; inverse weighting may be unstable",
+            ExtremePropensityWarning,
+            stacklevel=2,
+        )
     yhat = impute(plan, a.y)
     gaps = g_a[plan.j_sets].mean(axis=1) - g_b
     n_hat = float(b.d.sum())
@@ -87,6 +70,8 @@ def point_estimates(plan: MatchPlan, fit: ScoreFit, a: SampleA, b: SampleB) -> P
     bh = float(gaps.mean())
     md = float(b.d @ yhat / n_hat)
     bhw = float(b.d @ gaps / n_hat)
+    inv_f = 1.0 / f_a
+    dre = float(inv_f @ (a.y - g_a) / inv_f.sum()) + float(b.d @ g_b / n_hat)
     return PointEstimates(
         mu_b=mb,
         bias_hat=bh,
@@ -94,6 +79,6 @@ def point_estimates(plan: MatchPlan, fit: ScoreFit, a: SampleA, b: SampleB) -> P
         mu_dsm=md,
         bias_hat_weighted=bhw,
         mu_dsm_debiased=md - bhw,
-        dre=_dre(a.y, fit.propensity(a.x), g_a, g_b, b.d, n_hat),
+        dre=dre,
         n_hat=n_hat,
     )

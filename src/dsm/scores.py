@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import DegenerateScore, NonConvergence, RankDeficient, Separation
+from .errors import (
+    DegenerateScore,
+    EmptySample,
+    NonConvergence,
+    NonpositiveWeight,
+    RankDeficient,
+    Separation,
+)
 
 __all__ = [
     "SampleA",
@@ -73,7 +80,7 @@ class SampleA:
         if x.shape[0] != y.shape[0]:
             raise ValueError("x and y disagree on the number of units")
         if x.shape[0] < 1:
-            raise ValueError("sample A is empty")
+            raise EmptySample("sample A is empty")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -90,14 +97,12 @@ class SampleB:
     d: np.ndarray
 
     def __post_init__(self):
-        from .errors import NonpositiveWeight
-
         x = _as_matrix(self.x)
         d = _as_vector(self.d, "d")
         if x.shape[0] != d.shape[0]:
             raise ValueError("x and d disagree on the number of units")
         if x.shape[0] < 1:
-            raise ValueError("sample B is empty")
+            raise EmptySample("sample B is empty")
         if np.any(d <= 0):
             bad = int(np.argmax(d <= 0))
             raise NonpositiveWeight(f"design weight at row {bad} is {d[bad]!r}")

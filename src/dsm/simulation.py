@@ -287,6 +287,28 @@ def observed_covariates(x, nonlinearity: str) -> np.ndarray:
 
 # -- Monte Carlo --------------------------------------------------------
 
+def _analyse(a: SampleA, b: SampleB, m: int, bs=None, cols_r=None, cols_y=None):
+    """The estimator chain on one pair of samples: fit both scores (the
+    propensity model on columns cols_r, the prognostic one on cols_y;
+    None = all), match each B unit to its m nearest A donors with B's
+    design weights routed to them, and compute every point estimate.
+    Given a BootstrapSpec, also build the bias-corrected sample-B-mean
+    and population intervals, each around its own corrected estimate.
+
+    Returns (fit, scores, plan, estimates, ci_sample_b, ci_population),
+    the intervals None without bs.
+    """
+    fit = fit_scores(a, b, cols_r=cols_r, cols_y=cols_y)
+    smat = build_score_matrix(a, b, fit)
+    plan = find_matches(smat, m, d_b=b.d)
+    est = point_estimates(plan, fit, a, b)
+    if bs is None:
+        return fit, smat, plan, est, None, None
+    ci_b = bootstrap_ci_debiased(plan, fit, a, b, est.mu_b_debiased, bs)
+    ci_p = bootstrap_ci_population(plan, fit, a, b, est.mu_dsm_debiased, bs)
+    return fit, smat, plan, est, ci_b, ci_p
+
+
 def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
     """Run replication s under each scenario; returns {scenario: ("ok",
     results) or ("fail", error name)}.
@@ -312,36 +334,32 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
     shared = {
         "target_b": float(pop.cond_mean[ib].mean()),
         "target_pop": float(pop.cond_mean.mean()),
-        "sample_a_mean": float(pop.y[ia].mean()),
+        "sample_a_mean": float(a.y.mean()),
     }
     results = {}
     for scenario in scenarios:
         cols_y, cols_r = _MODEL_COLUMNS[scenario[0]], _MODEL_COLUMNS[scenario[1]]
-        out = dict(shared)
         try:
-            fit = fit_scores(a, b, cols_r=cols_r, cols_y=cols_y)
-            smat = build_score_matrix(a, b, fit)
-            plan = find_matches(smat, spec.m, d_b=b.d)
             with warnings.catch_warnings():
                 # extreme-propensity warnings are expected wholesale in the
                 # distorted-covariate modes; the report carries the numbers
                 warnings.simplefilter("ignore", ExtremePropensityWarning)
-                est = point_estimates(plan, fit, a, b)
-            out.update(
-                mu_b=est.mu_b,
-                mu_b_debiased=est.mu_b_debiased,
-                mu_dsm=est.mu_dsm,
-                mu_dsm_debiased=est.mu_dsm_debiased,
-                dre=est.dre,
-            )
-            if bs is not None:
-                ci_b = bootstrap_ci_debiased(plan, fit, a, b, est.mu_b_debiased, bs)
-                ci_p = bootstrap_ci_population(plan, fit, a, b, est.mu_dsm_debiased, bs)
-                out["cover_b"] = float(ci_b.lo < out["target_b"] < ci_b.hi)
-                out["cover_pop"] = float(ci_p.lo < out["target_pop"] < ci_p.hi)
-            results[scenario] = ("ok", out)
+                *_, est, ci_b, ci_p = _analyse(a, b, spec.m, bs, cols_r, cols_y)
         except DsmError as err:
             results[scenario] = ("fail", type(err).__name__)
+            continue
+        out = dict(
+            shared,
+            mu_b=est.mu_b,
+            mu_b_debiased=est.mu_b_debiased,
+            mu_dsm=est.mu_dsm,
+            mu_dsm_debiased=est.mu_dsm_debiased,
+            dre=est.dre,
+        )
+        if bs is not None:
+            out["cover_b"] = float(ci_b.lo < out["target_b"] < ci_b.hi)
+            out["cover_pop"] = float(ci_p.lo < out["target_pop"] < ci_p.hi)
+        results[scenario] = ("ok", out)
     return results
 
 

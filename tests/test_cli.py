@@ -2,6 +2,8 @@
 with the library calls it wraps, exit-code families, and byte-identical
 reruns."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,9 @@ def _read_table(path):
 
 def _read_meta(path):
     out = {}
-    for line in open(path).read().splitlines():
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    for line in lines:
         key, _, val = line.partition("=")
         out[key] = val
     return out
@@ -183,8 +187,8 @@ def test_utf8_bom_loads_like_plain_file(sample_files, tmp_path):
     pa, pb = sample_files
     plain = _impute_output(pa, pb, tmp_path / "plain.csv")
     bom_a, bom_b = tmp_path / "bom_a.csv", tmp_path / "bom_b.csv"
-    bom_a.write_bytes(b"\xef\xbb\xbf" + open(pa, "rb").read())
-    bom_b.write_bytes(b"\xef\xbb\xbf" + open(pb, "rb").read())
+    bom_a.write_bytes(b"\xef\xbb\xbf" + Path(pa).read_bytes())
+    bom_b.write_bytes(b"\xef\xbb\xbf" + Path(pb).read_bytes())
     assert _impute_output(str(bom_a), str(bom_b), tmp_path / "bom.csv") == plain
 
 
@@ -199,7 +203,8 @@ def test_trailing_blank_lines_are_ignored(sample_files, tmp_path, trailer):
 
 def test_blank_line_mid_file_exits_schema(sample_files, tmp_path, capsys):
     pa, pb = sample_files
-    lines = open(pb, newline="").read().splitlines(keepends=True)
+    with open(pb, newline="") as fh:
+        lines = fh.read().splitlines(keepends=True)
     with open(pb, "w", newline="") as fh:
         fh.writelines(lines[:3] + ["\n"] + lines[3:])
     assert main(_base_args("impute", pa, pb, tmp_path / "o.csv")) == 2

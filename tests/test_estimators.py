@@ -15,7 +15,6 @@ from dsm import (
     ScoreFit,
     ScoreMatrix,
     build_score_matrix,
-    dre_estimate,
     find_matches,
     fit_scores,
     impute,
@@ -249,7 +248,8 @@ def test_dre_exact_prognosis_averages_b_predictions():
     a = SampleA(xa, fit.prognostic(xa))
     b = SampleB(np.array([[2.0], [3.0]]), np.array([1.0, 3.0]))
     expected = float(b.d @ fit.prognostic(b.x) / b.d.sum())
-    assert dre_estimate(fit, a, b) == pytest.approx(expected, abs=1e-12)
+    plan = plan_from([[0], [1]], n_a=3)
+    assert point_estimates(plan, fit, a, b).dre == pytest.approx(expected, abs=1e-12)
 
 
 def test_dre_flat_propensity_zero_prognosis():
@@ -268,7 +268,8 @@ def test_dre_flat_propensity_zero_prognosis():
     rng = np.random.default_rng(15)
     a = SampleA(rng.normal(size=(5, 1)), rng.normal(size=5))
     b = SampleB(rng.normal(size=(3, 1)), rng.uniform(1, 2, size=3))
-    assert dre_estimate(fit, a, b) == pytest.approx(float(a.y.mean()), abs=1e-12)
+    plan = plan_from([[0], [1], [2]], n_a=5)
+    assert point_estimates(plan, fit, a, b).dre == pytest.approx(float(a.y.mean()), abs=1e-12)
 
 
 def test_dre_warns_on_extreme_propensity():
@@ -286,7 +287,7 @@ def test_dre_warns_on_extreme_propensity():
     a = SampleA(np.array([[1.0]]), np.array([2.0]))
     b = SampleB(np.array([[1.0]]), np.array([1.0]))
     with pytest.warns(ExtremePropensityWarning):
-        dre_estimate(fit, a, b)
+        point_estimates(plan_from([[0]], n_a=1), fit, a, b).dre
 
 
 def _fitted_instance(seed, shift=0.0):
@@ -330,5 +331,7 @@ def test_point_estimates_bundle_matches_parts():
     assert est.mu_dsm == float(b.d @ yhat / b.d.sum())
     assert est.bias_hat_weighted == float(b.d @ gaps / b.d.sum())
     assert est.mu_dsm_debiased == est.mu_dsm - est.bias_hat_weighted
-    assert est.dre == dre_estimate(fit, a, b)
+    inv_f = 1.0 / fit.propensity(a.x)
+    dre_a = float(inv_f @ (a.y - fit.prognostic(a.x)) / inv_f.sum())
+    assert est.dre == dre_a + float(b.d @ fit.prognostic(b.x) / b.d.sum())
     assert est.n_hat == pytest.approx(float(b.d.sum()))

@@ -250,7 +250,7 @@ def test_max_iter_exhaustion_raises(monkeypatch):
 
 
 def test_sample_validation():
-    from dsm.errors import NonpositiveWeight
+    from dsm.errors import EmptySample, NonpositiveWeight
 
     with pytest.raises(ValueError):
         SampleA(np.array([[1.0], [2.0]]), np.array([1.0]))
@@ -258,3 +258,7 @@ def test_sample_validation():
         SampleA(np.array([[np.nan]]), np.array([1.0]))
     with pytest.raises(NonpositiveWeight):
         SampleB(np.array([[1.0], [2.0]]), np.array([1.0, 0.0]))
+    with pytest.raises(EmptySample, match="sample A is empty"):
+        SampleA(np.zeros((0, 1)), np.zeros(0))
+    with pytest.raises(EmptySample, match="sample B is empty"):
+        SampleB(np.zeros((0, 1)), np.zeros(0))

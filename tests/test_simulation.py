@@ -356,6 +356,18 @@ def test_sample_build_failure_fails_every_scenario(monkeypatch):
     assert results == {sc: ("fail", "DomainError") for sc in sim.SCENARIOS}
 
 
+def test_empty_volunteer_sample_fails_its_replication():
+    # Replication 6 of this spec draws no volunteer unit: it fails under
+    # every scenario instead of aborting the run, and with every other
+    # replication failing too the run raises the package's error.
+    spec = ScenarioSpec(n_pop=400, n_a=1, n_b=30, m=1, n_reps=8, seed=2, workers=1)
+    assert sim._replicate(spec, sim.SCENARIOS, 6) == {
+        sc: ("fail", "EmptySample") for sc in sim.SCENARIOS
+    }
+    with pytest.raises(DsmError, match="every replication failed"):
+        run_scenario_table(spec)
+
+
 def test_scenario_table_shares_replication_data():
     # One seed drives every scenario: the targets are identical series,
     # so scenario columns differ only through the model views.
