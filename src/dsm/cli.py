@@ -26,7 +26,7 @@ from .errors import (
     Separation,
 )
 from .io import RunConfig, load_samples, write_csv, write_meta
-from .matching import find_inner_neighbors, find_matches, impute
+from .matching import find_matches, impute
 from .scores import build_score_matrix, fit_scores
 from .simulation import (
     COVERAGE_GRID,
@@ -70,10 +70,7 @@ def cmd_impute(config: RunConfig):
     g_b = fit.prognostic(b.x)
 
     header = list(config.covariates) + [config.weight, "y_hat", "sampling_score", "prognostic_score"]
-    rows = [
-        list(b.x[i]) + [b.d[i], yhat[i], f_b[i], g_b[i]]
-        for i in range(b.n)
-    ]
+    rows = [list(b.x[i]) + [b.d[i], yhat[i], f_b[i], g_b[i]] for i in range(b.n)]
     write_csv(config.out, header, rows)
     write_meta(config.out + ".meta", _fit_meta(config, fit, plan))
 
@@ -83,9 +80,9 @@ def cmd_estimate(config: RunConfig):
     variance, and percentile-inverted bootstrap intervals."""
     bs = BootstrapSpec(n_draws=config.n_boot, alpha=config.alpha, seed=config.seed)
     a, b = load_samples(config.sample_a, config.sample_b, config)
-    fit, smat, plan, est, ci_deb, ci_pop = _analyse(a, b, config.m, bs if config.debias else None)
     j = config.j if config.j is not None else 2 * config.m
-    inner = find_inner_neighbors(smat, j)
+    fit, plan, inner, est, ci_deb, ci_pop = _analyse(
+        a, b, config.m, bs if config.debias else None, j=j)
     var = analytic_variance(plan, a.y, est.mu_b, inner)
     se = (var / plan.n_b) ** 0.5
     ci_plain = bootstrap_ci_plain(plan, a.y, est.mu_b, bs)

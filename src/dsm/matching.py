@@ -1,11 +1,11 @@
 """Nearest-neighbor matching in the normalized score space.
 
 Every sample-B unit is matched, with replacement, to its M closest
-sample-A donors under Euclidean distance on the two score columns.
-Distance ties are broken by ascending donor index, which keeps results
-reproducible across runs and platforms.  The same machinery finds, for
-each sample-A unit, its closest J other sample-A units (used later for
-residual-variance estimation).
+sample-A donors under Euclidean distance on the two score columns, and
+each sample-A unit to its J closest other sample-A units (used later for
+residual-variance estimation), by an exact k-d tree search (Friedman,
+Bentley & Finkel 1977) in O((n_a + n_b) * M) memory.  Distance ties are
+broken by ascending donor index, which keeps results reproducible.
 """
 
 from __future__ import annotations
@@ -56,31 +56,31 @@ class InnerNeighbors:
 
 
 def _sq_distances(points, donors):
-    # One column pair at a time: no (points, donors, 2) difference array.
-    return (points[:, :1] - donors[:, 0]) ** 2 + (points[:, 1:] - donors[:, 1]) ** 2
+    # One column pair at a time; donors is (n_donors, 2) or (n_points, k, 2).
+    return (points[:, :1] - donors[..., 0]) ** 2 + (points[:, 1:] - donors[..., 1]) ** 2
 
 
-def _nearest(d2, m):
-    """Indices and squared distances of the m closest columns per row
-    (m at most the column count), ordered by (distance, column index)."""
-    # Partition first, then order the m candidates.  Sorting candidate
-    # indices before the stable distance sort makes ties resolve to the
-    # lowest index.  Rows where a non-candidate ties the cutoff value are
-    # redone with a full stable sort, since the partition picks arbitrary
-    # members of such a tie.
-    part = np.argpartition(d2, m - 1, axis=1)[:, :m]
-    cutoff = np.take_along_axis(d2, part, axis=1).max(axis=1)
-    ambiguous = np.flatnonzero((d2 <= cutoff[:, None]).sum(axis=1) > m)
+def _nearest(points, donors, m):
+    """Indices and squared distances of each point's m nearest donors,
+    ordered by (distance, donor index)."""
+    # Lazy: scipy.spatial loads scipy.linalg and scipy.sparse, slowing `import dsm`.
+    from scipy.spatial import cKDTree
 
-    cand = np.sort(part, axis=1)
-    cand_d2 = np.take_along_axis(d2, cand, axis=1)
-    order = np.argsort(cand_d2, axis=1, kind="stable")
+    k = min(m + 4, len(donors))
+    # Candidates sorted by index, so the stable sort on recomputed d2
+    # breaks ties by lowest index whatever the tree's arithmetic.
+    cand = np.sort(cKDTree(donors).query(points, k=k)[1].reshape(-1, k), axis=1)
+    cand_d2 = _sq_distances(points, donors[cand])
+    # A donor left out is no nearer than the farthest candidate, up to the
+    # tree's rounding; a row whose m-th distance reaches that is redone.
+    last = cand_d2.max(axis=1) * (1 - 1e-12) if k < len(donors) else np.inf
+    order = np.argsort(cand_d2, axis=1, kind="stable")[:, :m]
     idx = np.take_along_axis(cand, order, axis=1)
     dsq = np.take_along_axis(cand_d2, order, axis=1)
-    for r in ambiguous:
-        full = np.argsort(d2[r], kind="stable")[:m]
-        idx[r] = full
-        dsq[r] = d2[r, full]
+    for r in np.flatnonzero(dsq[:, -1] >= last):
+        d2 = _sq_distances(points[r : r + 1], donors)[0]
+        idx[r] = np.argsort(d2, kind="stable")[:m]
+        dsq[r] = d2[idx[r]]
     return idx, dsq
 
 
@@ -116,7 +116,7 @@ def find_matches(scores: ScoreMatrix, m: int, d_b=None) -> MatchPlan:
     if d_b.shape != (n_b,):
         raise ValueError("d_b must have one weight per sample-B unit")
 
-    idx, dsq = _nearest(_sq_distances(zb, za), m)
+    idx, dsq = _nearest(zb, za, m)
     flat = idx.ravel()
     k_counts = np.bincount(flat, minlength=n_a)
     k_weighted = np.bincount(flat, weights=np.repeat(d_b, m), minlength=n_a)
@@ -137,10 +137,12 @@ def find_inner_neighbors(scores: ScoreMatrix, j: int) -> InnerNeighbors:
     n_a = za.shape[0]
     if j > n_a - 1:
         raise JTooLarge(f"j={j} exceeds the {n_a - 1} other donors available")
-    d2 = _sq_distances(za, za)
-    np.fill_diagonal(d2, np.inf)
-    idx, _ = _nearest(d2, j)
-    return InnerNeighbors(j=j, l_sets=idx)
+    # The j + 1 nearest by (distance, index) hold the j nearest others: drop
+    # self by index (a duplicate row ties it at zero), else the last one.
+    idx, _ = _nearest(za, za, j + 1)
+    keep = idx != np.arange(n_a)[:, None]
+    keep[keep.all(axis=1), -1] = False
+    return InnerNeighbors(j=j, l_sets=idx[keep].reshape(-1, j))
 
 
 def impute(plan: MatchPlan, y_a) -> np.ndarray:

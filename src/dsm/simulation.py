@@ -33,7 +33,7 @@ from .errors import (
     RhoOutOfRange,
 )
 from .estimators import point_estimates
-from .matching import find_matches
+from .matching import find_inner_neighbors, find_matches
 from .scores import SampleA, SampleB, build_score_matrix, fit_scores
 from .uncertainty import BootstrapSpec, bootstrap_ci_debiased, bootstrap_ci_population
 
@@ -287,26 +287,27 @@ def observed_covariates(x, nonlinearity: str) -> np.ndarray:
 
 # -- Monte Carlo --------------------------------------------------------
 
-def _analyse(a: SampleA, b: SampleB, m: int, bs=None, cols_r=None, cols_y=None):
+def _analyse(a: SampleA, b: SampleB, m: int, bs=None, cols_r=None, cols_y=None, j=None):
     """The estimator chain on one pair of samples: fit both scores (the
     propensity model on columns cols_r, the prognostic one on cols_y;
-    None = all), match each B unit to its m nearest A donors with B's
-    design weights routed to them, and compute every point estimate.
-    Given a BootstrapSpec, also build the bias-corrected sample-B-mean
-    and population intervals, each around its own corrected estimate.
+    None = all), match each B unit to its m nearest A donors (B's design
+    weights routed to them) and, given j, each A unit to its j nearest
+    others, and compute every point estimate.  Given a BootstrapSpec, also
+    build the corrected sample-B-mean and population intervals.
 
-    Returns (fit, scores, plan, estimates, ci_sample_b, ci_population),
-    the intervals None without bs.
+    Returns (fit, plan, inner, estimates, ci_sample_b, ci_population),
+    None for inner without j and for the intervals without bs.
     """
     fit = fit_scores(a, b, cols_r=cols_r, cols_y=cols_y)
     smat = build_score_matrix(a, b, fit)
     plan = find_matches(smat, m, d_b=b.d)
+    inner = None if j is None else find_inner_neighbors(smat, j)
     est = point_estimates(plan, fit, a, b)
     if bs is None:
-        return fit, smat, plan, est, None, None
+        return fit, plan, inner, est, None, None
     ci_b = bootstrap_ci_debiased(plan, fit, a, b, est.mu_b_debiased, bs)
     ci_p = bootstrap_ci_population(plan, fit, a, b, est.mu_dsm_debiased, bs)
-    return fit, smat, plan, est, ci_b, ci_p
+    return fit, plan, inner, est, ci_b, ci_p
 
 
 def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:

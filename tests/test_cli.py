@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dsm.cli as cli
+import dsm.simulation
 from dsm.cli import main
 from dsm.io import RunConfig, _read_rows, load_samples, write_csv, write_meta
 
@@ -321,6 +322,20 @@ def test_m_beyond_donor_pool_exits_numeric(sample_files, tmp_path):
     pa, pb = sample_files
     args = _base_args("impute", pa, pb, tmp_path / "o.csv", m=13)
     assert main(args) == 3
+
+
+def test_bad_j_fails_before_any_bootstrap(sample_files, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a bootstrap ran before j was checked")
+
+    monkeypatch.setattr(dsm.simulation, "bootstrap_ci_debiased", never)
+    pa, pb = sample_files
+    out = tmp_path / "o.csv"
+    assert main(_base_args("estimate", pa, pb, out, j=5000)) == 3
+    assert capsys.readouterr().err == "dsm: j=5000 exceeds the 11 other donors available\n"
+    assert main(_base_args("estimate", pa, pb, out, j=0)) == 3
+    assert capsys.readouterr().err == "dsm: j must be at least 1\n"
+    assert not out.exists()
 
 
 def test_separated_samples_exit_convergence(tmp_path):

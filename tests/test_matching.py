@@ -1,11 +1,18 @@
 """Matching machinery against an exhaustive brute-force oracle, plus the
 count-conservation and tie-breaking contracts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dsm.matching as matching
 from dsm import (
     InnerNeighbors,
     JTooLarge,
@@ -223,3 +230,110 @@ def test_impute_rejects_wrong_length():
     plan = find_matches(make_scores(np.zeros((3, 2)), np.ones((2, 2))), 1)
     with pytest.raises(ValueError):
         impute(plan, np.zeros(4))
+
+
+# -- the k-d tree search: candidates, recomputed distances, redone rows --
+
+def _spy_full_rows(monkeypatch):
+    """Record the row count of every full-width distance computation (a
+    row redone by a full sort), leaving results unchanged."""
+    rows = []
+    real = matching._sq_distances
+
+    def spy(points, donors):
+        if donors.ndim == 2:
+            rows.append(len(points))
+        return real(points, donors)
+
+    monkeypatch.setattr(matching, "_sq_distances", spy)
+    return rows
+
+
+def test_more_exact_ties_than_candidates_match_oracle(monkeypatch):
+    # 12 copies of one donor outnumber the m + 4 (and j + 5) candidates the
+    # tree returns, so the cutoff tie reaches past them; self is one of
+    # the copies for each copied A-unit.
+    rng = np.random.default_rng(12)
+    za = rng.normal(size=(40, 2))
+    copies = rng.choice(40, size=12, replace=False)
+    za[copies] = za[copies[0]]
+    zb = np.vstack([za[copies[0]], rng.normal(size=(8, 2))])
+    scores = make_scores(za, zb)
+    redone = _spy_full_rows(monkeypatch)
+    assert np.array_equal(find_matches(scores, 3).j_sets, oracle_match(za, zb, 3))
+    assert np.array_equal(find_inner_neighbors(scores, 2).l_sets, oracle_inner(za, 2))
+    assert len(redone) >= 1 + 12 and set(redone) == {1}
+
+
+def _near_tie_donors():
+    """Donors around the origin: one at squared distance 1, four at exactly
+    25, one 1 ulp above 25 and, at the highest index, one 1 ulp below 25."""
+    three, four = 3.0 - 4 * np.spacing(3.0), 4.0 + np.spacing(4.0)
+    za = np.array([
+        [1.0, 0.0],
+        [3.0, 4.0], [4.0, 3.0], [-3.0, 4.0], [0.0, 5.0],
+        [three, four + np.spacing(4.0)],
+        [three, four],
+        [10.0, 10.0], [-10.0, 10.0],
+    ])
+    d2 = (za**2).sum(axis=1)
+    assert d2[5] == 25.0 + np.spacing(25.0) and d2[6] == 25.0 - np.spacing(25.0)
+    return za
+
+
+class _TreeRoundingTheOtherWay:
+    """Stands in for cKDTree: returns the m + 4 = 6 candidates a tree
+    whose own rounding put donor 6 behind donors 1-5 would return."""
+
+    def __init__(self, data):
+        pass
+
+    def query(self, x, k):
+        assert k == 6
+        return None, np.arange(6)[None, :]
+
+
+def test_one_ulp_near_tie_at_the_mth_candidate_is_redone(monkeypatch):
+    # The 2nd-nearest donor is 6, 1 ulp nearer than donors 1-4.  A tree
+    # that ranks it after them leaves it out, and the farthest candidate
+    # (donor 5) is only 1 ulp beyond the 2nd; the relative margin on the
+    # redo test still sends the row to the full sort.
+    za, zb = _near_tie_donors(), np.zeros((1, 2))
+    scores = make_scores(za, zb)
+    expected = oracle_match(za, zb, 2)
+    assert expected.tolist() == [[0, 6]]
+    assert np.array_equal(find_matches(scores, 2).j_sets, expected)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", _TreeRoundingTheOtherWay)
+    redone = _spy_full_rows(monkeypatch)
+    assert np.array_equal(find_matches(scores, 2).j_sets, expected)
+    assert redone == [1]
+
+
+def test_candidate_subset_search_agrees_with_oracle_on_continuous_scores():
+    rng = np.random.default_rng(2026)
+    za = rng.normal(size=(2000, 2))
+    zb = rng.normal(size=(4000, 2))
+    scores = make_scores(za, zb)
+    full_match = oracle_match(za, zb, 10)
+    full_inner = oracle_inner(za, 20)
+    for m in (1, 3, 10):
+        plan = find_matches(scores, m)
+        assert np.array_equal(plan.j_sets, full_match[:, :m])
+        exact = np.sqrt(((za[plan.j_sets] - zb[:, None, :]) ** 2).sum(axis=2))
+        assert np.array_equal(plan.distances, exact)
+        inner = find_inner_neighbors(scores, 2 * m)
+        assert np.array_equal(inner.l_sets, full_inner[:, : 2 * m])
+
+
+def test_importing_the_cli_leaves_scipy_spatial_unloaded():
+    # scipy.spatial pulls in scipy.linalg and scipy.sparse; matching
+    # imports it only when it searches, so start-up does not pay for it.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import dsm.cli, sys; sys.exit('scipy.spatial' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr or "dsm.cli imported scipy.spatial"
