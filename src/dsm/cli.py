@@ -5,7 +5,8 @@ the reference sample, `estimate` writes all point estimates with
 analytic and bootstrap uncertainty, `simulate` reruns the built-in
 Monte Carlo study tables.  Exit codes separate failure families: 2 for
 input, schema and output-path problems, 3 for numeric/configuration
-problems, 4 for convergence problems.  DSM_THREADS caps simulation parallelism.
+problems, 4 for convergence problems.  DSM_THREADS caps the simulation's
+worker processes and the bootstrap's threads (unset: the CPU count).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .simulation import (
     run_coverage_grid,
     run_scenario_table,
 )
-from .uncertainty import BootstrapSpec, analytic_variance, bootstrap_ci_plain
+from .uncertainty import BootstrapSpec, _worker_count, analytic_variance, bootstrap_ci_plain
 
 _EXIT_SCHEMA = 2
 _EXIT_NUMERIC = 3
@@ -79,6 +80,7 @@ def cmd_estimate(config: RunConfig):
     """Write the full estimate report: point estimates, analytic
     variance, and percentile-inverted bootstrap intervals."""
     bs = BootstrapSpec(n_draws=config.n_boot, alpha=config.alpha, seed=config.seed)
+    _worker_count(None)  # a bad DSM_THREADS fails before any CSV is read
     a, b = load_samples(config.sample_a, config.sample_b, config)
     j = config.j if config.j is not None else 2 * config.m
     fit, plan, inner, est, ci_deb, ci_pop = _analyse(

@@ -59,6 +59,11 @@ class InfeasibleRatio(DsmError):
     """Size-variable shift produces nonpositive size values."""
 
 
+class RepeatedSelection(DsmError):
+    """Systematic selection hit one unit twice, which only rounding in the
+    cumulative inclusion probabilities of certainty units can cause."""
+
+
 class DomainError(DsmError):
     """Covariate transform applied outside its domain (nonpositive base
     under a fractional or negative exponent)."""

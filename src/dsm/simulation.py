@@ -15,7 +15,6 @@ covariates), so even T-labeled models can see a wrong functional form.
 
 from __future__ import annotations
 
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -30,12 +29,19 @@ from .errors import (
     DsmError,
     ExtremePropensityWarning,
     InfeasibleRatio,
+    RepeatedSelection,
     RhoOutOfRange,
 )
 from .estimators import point_estimates
 from .matching import find_inner_neighbors, find_matches
 from .scores import SampleA, SampleB, build_score_matrix, fit_scores
-from .uncertainty import BootstrapSpec, bootstrap_ci_debiased, bootstrap_ci_population
+from .uncertainty import (
+    BootstrapSpec,
+    _set_threads,
+    _worker_count,
+    bootstrap_ci_debiased,
+    bootstrap_ci_population,
+)
 
 __all__ = [
     "SCENARIOS",
@@ -112,6 +118,8 @@ class ScenarioSpec:
             raise ValueError("sizes must be positive")
         if self.n_b >= self.n_pop or self.n_a >= self.n_pop:
             raise ValueError("sample sizes must be smaller than the population")
+        if not 0.0 < self.rho <= 1.0:
+            raise ValueError("rho must lie in (0, 1]")
         if self.n_boot < 0 or self.n_boot == 1:
             raise ValueError("n_boot (bootstrap draws) must be 0 or at least 2")
         if self.seed < 0:
@@ -186,7 +194,10 @@ def calibrate_pps(x3, target_n_b: int):
 
     Shifts the third covariate by the constant c making max(size)/min(size)
     equal _PPS_RATIO, scales to sum(pi) = target_n_b, then repairs any pi > 1
-    by capping and rescaling the rest (which preserves the total).
+    by capping and rescaling the rest (which preserves the total).  Each
+    round caps at least one more unit, and the free units always share a
+    total smaller than their number, so they cannot all reach 1: the
+    repair ends with every pi in (0, 1].
 
     Returns (c, pi).
     """
@@ -201,9 +212,7 @@ def calibrate_pps(x3, target_n_b: int):
 
     pi = target_n_b * size / size.sum()
     capped = np.zeros(n, dtype=bool)
-    for _ in range(200):
-        if not np.any(pi > 1.0):
-            break
+    while np.any(pi > 1.0):
         capped |= pi >= 1.0
         remaining = target_n_b - int(capped.sum())
         if remaining <= 0:
@@ -264,7 +273,7 @@ def pps_sample(pi, n_b: int, rng) -> np.ndarray:
     pos = np.searchsorted(edges, points, side="right")
     pos = np.minimum(pos, pi.shape[0] - 1)
     if np.any(pos[1:] == pos[:-1]):
-        raise RuntimeError("systematic selection hit a unit twice")
+        raise RepeatedSelection("systematic selection hit a unit twice")
     return np.sort(perm[pos])
 
 
@@ -317,19 +326,20 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
     The population, both samples (on the observed covariates) and the
     bootstrap seed are drawn once from the stream keyed by (seed, s) and
     shared by every scenario, which only chooses each model's columns; so
-    a replication is identical no matter how the work is scheduled.
+    a replication is identical no matter how the work is scheduled.  A
+    package error while drawing or building them fails every scenario.
     """
     rng = np.random.default_rng([spec.seed, s])
-    pop = gen_population(spec, rng)
-    ia = poisson_sample(pop.pi_a, rng)
-    ib = pps_sample(pop.pi_b, spec.n_b, rng)
-    boot_seed = int(rng.integers(0, 2**63))
     try:
+        pop = gen_population(spec, rng)
+        ia = poisson_sample(pop.pi_a, rng)
+        ib = pps_sample(pop.pi_b, spec.n_b, rng)
         xbar = observed_covariates(pop.x, spec.nonlinearity)
         a = SampleA(xbar[ia], pop.y[ia])
         b = SampleB(xbar[ib], 1.0 / pop.pi_b[ib])
     except DsmError as err:
         return dict.fromkeys(scenarios, ("fail", type(err).__name__))
+    boot_seed = int(rng.integers(0, 2**63))
     bs = BootstrapSpec(n_draws=spec.n_boot, seed=boot_seed) if spec.n_boot else None
 
     shared = {
@@ -362,18 +372,6 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
             out["cover_pop"] = float(ci_p.lo < out["target_pop"] < ci_p.hi)
         results[scenario] = ("ok", out)
     return results
-
-
-def _worker_count(requested) -> int:
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("DSM_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"DSM_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 # Estimator name -> target series it chases.
@@ -472,7 +470,8 @@ def run_scenario_table(base: ScenarioSpec, scenarios=SCENARIOS) -> dict:
         raise ValueError(f"scenario must be one of {SCENARIOS}")
     workers = _worker_count(base.workers)
     if workers > 1 and base.n_reps > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Each worker process bootstraps on one thread.
+        with ProcessPoolExecutor(workers, initializer=_set_threads, initargs=(1,)) as pool:
             chunk = max(1, base.n_reps // (workers * 8))
             results = list(pool.map(_replicate, repeat(base), repeat(names), reps, chunksize=chunk))
     else:

@@ -10,7 +10,10 @@ from local residual-variance estimates is provided as a cross-check.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,9 +42,13 @@ MAMMEN_NEG = -(_SQRT5 - 1.0) / 2.0
 MAMMEN_POS = (_SQRT5 + 1.0) / 2.0
 MAMMEN_P_NEG = (_SQRT5 + 1.0) / (2.0 * _SQRT5)
 
-# Uniform draws are generated in row-major (replicate, unit) order and
-# chunked only along replicates, so results do not depend on chunk size.
-_CHUNK_ELEMS = 1 << 21
+# Multiplier weights one thread draws and reduces at a time (512 KB of
+# float64), so a chunk's temporaries stay in cache.
+_CHUNK_ELEMS = 1 << 16
+
+# Bootstrap thread cap; None follows _worker_count.  Simulation pool
+# workers set 1, since their processes already keep the CPUs busy.
+_threads = None
 
 
 @dataclass(frozen=True)
@@ -119,28 +126,68 @@ def analytic_variance(plan: MatchPlan, y_a, mu_b_hat: float, inner: InnerNeighbo
 
 # -- wild bootstrap -----------------------------------------------------
 
+def _worker_count(requested) -> int:
+    """requested if given, else the DSM_THREADS environment variable, else
+    the CPU count; at least 1."""
+    if requested is not None:
+        return max(1, int(requested))
+    env = os.environ.get("DSM_THREADS", "").strip()
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"DSM_THREADS must be an integer, got {env!r}") from None
+    return os.cpu_count() or 1
+
+
+def _set_threads(n) -> None:
+    """Cap the bootstrap threads of this process (None: _worker_count)."""
+    global _threads
+    _threads = n
+
+
+def _draw_range(spec: BootstrapSpec, resid, norm, out, lo: int, hi: int) -> None:
+    """Fill out[lo:hi] with draws lo..hi-1 of _centered_draws.
+
+    Philox yields four 64-bit words per counter step and each uniform
+    takes one word, so advancing the counter by (lo*n)//4 steps and
+    burning (lo*n)%4 uniforms starts this generator at uniform lo*n of
+    the single-generator (n_draws, n) block.
+    """
+    n = resid.shape[0]
+    gen = np.random.Generator(np.random.Philox(key=spec.seed).advance(lo * n // 4))
+    gen.random(lo * n % 4)
+    chunk = max(1, _CHUNK_ELEMS // max(1, n))
+    for pos in range(lo, hi, chunk):
+        end = min(pos + chunk, hi)
+        w = mammen_draw(gen, (end - pos, n))
+        # Row-wise multiply-reduce, not a matvec: BLAS accumulation order
+        # varies with the row count, which would make the draws depend on
+        # the chunk size at the last ulp.
+        out[pos:end] = (w * resid).sum(axis=1) / norm
+
+
 def _centered_draws(spec: BootstrapSpec, resid, norm):
     """Bootstrap draws q_b = (w . resid) / norm, one multiplier weight per
     unit-level residual term.
 
     Multiplier weights come from a counter-based generator keyed by the
-    seed; replicate b always consumes rows b of the (n_draws, n_units)
-    uniform block, so identical seeds give identical draws regardless of
-    chunking.
+    seed: draw b always uses row b of one (n_draws, n_units) uniform
+    block.  [0, n_draws) is split into contiguous draw ranges, one per
+    thread (at most _worker_count threads, and no more than draws); each
+    range starts its own generator at its first row's offset in the block
+    and works through it in cache-sized chunks.  So identical seeds give
+    bit-identical draws whatever the thread count or chunk size.
     """
-    n = resid.shape[0]
-    gen = np.random.Generator(np.random.Philox(key=spec.seed))
     out = np.empty(spec.n_draws)
-    chunk = max(1, _CHUNK_ELEMS // max(1, n))
-    pos = 0
-    while pos < spec.n_draws:
-        take = min(chunk, spec.n_draws - pos)
-        w = mammen_draw(gen, (take, n))
-        # Row-wise multiply-reduce, not a matvec: BLAS accumulation order
-        # varies with the row count, which would make the draws depend on
-        # the chunk size at the last ulp.
-        out[pos : pos + take] = (w * resid).sum(axis=1) / norm
-        pos += take
+    threads = min(_worker_count(_threads), spec.n_draws)
+    if threads == 1:
+        _draw_range(spec, resid, norm, out, 0, spec.n_draws)
+        return out
+    edges = [spec.n_draws * t // threads for t in range(threads + 1)]
+    with ThreadPoolExecutor(threads) as pool:
+        # numpy releases the GIL while it generates and reduces.
+        list(pool.map(partial(_draw_range, spec, resid, norm, out), edges[:-1], edges[1:]))
     return out
 
 

@@ -642,6 +642,27 @@ def test_simulate_non_integer_threads_exits_numeric(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+def test_estimate_non_integer_threads_exits_numeric(sample_files, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DSM_THREADS", "two")
+    monkeypatch.setattr(cli, "load_samples", _never_called)
+    pa, pb = sample_files
+    out = tmp_path / "o.csv"
+    assert main(_base_args("estimate", pa, pb, out)) == 3
+    assert capsys.readouterr().err == "dsm: DSM_THREADS must be an integer, got 'two'\n"
+    assert not out.exists()
+
+
+def test_estimate_byte_identical_across_thread_counts(sample_files, tmp_path, monkeypatch):
+    pa, pb = sample_files
+    outputs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("DSM_THREADS", threads)
+        out = tmp_path / f"t{threads}.csv"
+        assert main(_base_args("estimate", pa, pb, out, bootstrap=999)) == 0
+        outputs.append((out.read_bytes(), Path(str(out) + ".meta").read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 # -- serialization ------------------------------------------------------
 
 def test_write_meta_format(tmp_path):

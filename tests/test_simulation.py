@@ -2,15 +2,23 @@
 views, and the Monte Carlo harness contract (determinism, failure
 accounting, single-replication degeneracy)."""
 
+import multiprocessing
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsm.simulation as sim
+import dsm.uncertainty as unc
 from dsm import (
     BracketFailure,
     DomainError,
     DsmError,
     InfeasibleRatio,
+    RepeatedSelection,
     RhoOutOfRange,
     ScenarioSpec,
     calibrate_pps,
@@ -137,6 +145,36 @@ def test_pps_requires_calibrated_probabilities():
         pps_sample(np.full(10, 0.3), 5, np.random.default_rng(0))
 
 
+def test_pps_calibration_near_census_passes_the_sampler_checks():
+    # n_b = N - 1 forces the most capping rounds; the calibrated pi still
+    # lie in (0, 1] and sum to n_b, so a valid ScenarioSpec never reaches
+    # pps_sample's argument errors (nor calibrate_pps's own: the spec
+    # already requires 0 < n_b < n_pop).
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 10, 400):
+        for _ in range(20):
+            _, pi = calibrate_pps(rng.exponential(1.0, n), n - 1)
+            assert np.all((pi > 0.0) & (pi <= 1.0))
+            assert abs(pi.sum() - (n - 1)) <= 1e-6
+            assert pps_sample(pi, n - 1, rng).size == n - 1
+
+
+def test_pps_repeated_selection_is_a_package_error():
+    # Only rounding can make systematic selection hit a unit twice: here
+    # the total falls 5e-7 short of n_b, so the last point runs past the
+    # final edge and is clamped onto the certainty unit the previous
+    # point already took.
+    class FixedDraws:
+        def permutation(self, n):
+            return np.arange(n)
+
+        def random(self):
+            return 1.0 - 1e-7
+
+    with pytest.raises(RepeatedSelection):
+        pps_sample(np.array([1.0 - 5e-7, 1.0]), 2, FixedDraws())
+
+
 def test_pps_equal_probability_frequencies():
     # pi constant at n_b/N reduces to equal-probability sampling; the
     # per-unit inclusion frequency over many replications stays within
@@ -252,6 +290,47 @@ def test_worker_count_does_not_change_results():
     parallel = run_monte_carlo(replace(SMALL, workers=2))
     for key in serial.estimates:
         assert np.array_equal(serial.estimates[key], parallel.estimates[key])
+
+
+def test_pool_workers_match_serial_with_bootstrap(monkeypatch):
+    # Serial replications bootstrap on two threads here, pool workers on
+    # one; every report is bitwise equal.
+    monkeypatch.setenv("DSM_THREADS", "2")
+    spec = replace(SMALL, n_reps=4, n_boot=40)
+    serial = run_scenario_table(spec)
+    pooled = run_scenario_table(replace(spec, workers=2))
+    for sc, rep in serial.items():
+        other = pooled[sc]
+        assert (rep.n_ok, rep.n_failed, rep.failures) == (
+            other.n_ok, other.n_failed, other.failures)
+        for field in ("estimates", "targets", "coverage"):
+            got, want = getattr(other, field), getattr(rep, field)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert np.array_equal(got[key], want[key]), (sc, field, key)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the spy reaches the pool workers through fork")
+def test_pool_workers_bootstrap_on_one_thread(monkeypatch, tmp_path):
+    # With DSM_THREADS=2 this process would split each bootstrap in two
+    # draw ranges; a replication in a pool worker draws it in one.
+    monkeypatch.setenv("DSM_THREADS", "2")
+    log = tmp_path / "ranges"
+    real = unc._draw_range
+
+    def spy(spec, resid, norm, out, lo, hi):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {lo} {hi} {spec.n_draws}\n")
+        real(spec, resid, norm, out, lo, hi)
+
+    monkeypatch.setattr(unc, "_draw_range", spy)
+    run_scenario_table(replace(SMALL, n_reps=2, n_boot=30, workers=2))
+    rows = [line.split() for line in log.read_text().splitlines()]
+    assert len(rows) == 2 * 4 * 2
+    for pid, lo, hi, n_draws in rows:
+        assert pid != str(os.getpid())
+        assert (lo, hi) == ("0", n_draws)
 
 
 def test_bootstrap_coverage_flags_present():
@@ -389,9 +468,39 @@ def test_unknown_scenario_rejected_before_any_draw(monkeypatch):
         run_monte_carlo(SMALL, "ZZ")
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_small_specs_account_for_every_replication(data):
+    # Every replication of a valid small spec either counts as ok or as a
+    # named failure under each scenario; the only error that may escape is
+    # the package's "every replication failed".  n_b runs up to N - 1 to
+    # reach the reference design's capping.
+    n_pop = data.draw(st.integers(3, 400), label="n_pop")
+    spec = ScenarioSpec(
+        nonlinearity=data.draw(st.sampled_from(sim.NONLINEARITY_MODES), label="mode"),
+        n_pop=n_pop,
+        n_a=data.draw(st.integers(1, min(80, n_pop - 1)), label="n_a"),
+        n_b=data.draw(st.integers(1, n_pop - 1), label="n_b"),
+        m=data.draw(st.integers(1, 5), label="m"),
+        n_reps=data.draw(st.integers(1, 3), label="n_reps"),
+        n_boot=data.draw(st.sampled_from((0, 20)), label="n_boot"),
+        seed=data.draw(st.integers(0, 2**32), label="seed"),
+        workers=1,
+    )
+    try:
+        reports = run_scenario_table(spec)
+    except DsmError as err:
+        assert "every replication failed" in str(err)
+        return
+    for rep in reports.values():
+        assert rep.n_ok + rep.n_failed == spec.n_reps
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ScenarioSpec(nonlinearity="spline")
+    with pytest.raises(ValueError, match="rho"):
+        ScenarioSpec(rho=0.0)
     with pytest.raises(ValueError):
         ScenarioSpec(n_pop=100, n_b=100)
     with pytest.raises(ValueError):

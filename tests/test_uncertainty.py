@@ -2,6 +2,8 @@
 bootstrap: hand values, moment checks, an independently coded replicate
 evaluator, and the determinism contract."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -181,15 +183,72 @@ def test_seed_determinism_bit_for_bit():
     assert not np.array_equal(r1.draws, r3.draws)
 
 
+def one_generator_draws(seed, resid, norm, n_draws):
+    """Oracle: the whole (n_draws, n) multiplier block from one Philox
+    generator, reduced row-wise."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    u = gen.random((n_draws, resid.shape[0]))
+    w = np.where(u < MAMMEN_P_NEG, MAMMEN_NEG, MAMMEN_POS)
+    return (w * resid).sum(axis=1) / norm
+
+
 def test_chunk_size_invariance(monkeypatch):
+    # Every thread count, chunk size and unit count gives the one-generator
+    # block bit for bit: n_draws below the thread count, unit counts whose
+    # range offsets lo*n are not multiples of Philox's four words, and
+    # chunks far smaller than a thread's range.  A short switch interval
+    # makes the threads, which write disjoint slices of one array,
+    # interleave as often as they can.
     rng = np.random.default_rng(24)
-    y = rng.normal(size=10)
-    plan = plan_from([[0, 1], [2, 3], [4, 5], [6, 7]], n_a=10)
-    spec = BootstrapSpec(n_draws=257, seed=9)
-    full = bootstrap_ci_plain(plan, y, 0.1, spec)
-    monkeypatch.setattr(unc, "_CHUNK_ELEMS", 16)
-    tiny = bootstrap_ci_plain(plan, y, 0.1, spec)
-    assert np.array_equal(full.draws, tiny.draws)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n_a, n_draws in [(10, 257), (1, 257), (3, 3), (7, 2), (1001, 37)]:
+            y = rng.normal(size=n_a)
+            plan = plan_from(rng.integers(0, n_a, size=(max(4, n_a // 2), 2)), n_a=n_a)
+            spec = BootstrapSpec(n_draws=n_draws, seed=9)
+            resid = plan.k_counts * (y - 0.1) / plan.m
+            expected = one_generator_draws(9, resid, plan.n_b, n_draws)
+            for chunk_elems in (unc._CHUNK_ELEMS, 16, 1):
+                monkeypatch.setattr(unc, "_CHUNK_ELEMS", chunk_elems)
+                for threads in (1, 2, 3, 4):
+                    monkeypatch.setenv("DSM_THREADS", str(threads))
+                    draws = bootstrap_ci_plain(plan, y, 0.1, spec).draws
+                    assert np.array_equal(draws, expected), (n_a, n_draws, chunk_elems, threads)
+            monkeypatch.undo()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_draw_ranges_split_across_threads(monkeypatch):
+    # Contiguous ranges, one per thread, never more threads than draws.
+    ranges = []
+    real = unc._draw_range
+
+    def spy(spec, resid, norm, out, lo, hi):
+        ranges.append((lo, hi))
+        real(spec, resid, norm, out, lo, hi)
+
+    monkeypatch.setattr(unc, "_draw_range", spy)
+    plan = plan_from([[0, 1], [2, 0]], n_a=3)
+    y = np.array([1.0, -2.0, 0.5])
+    for threads, n_draws, expected in [
+        ("1", 257, [(0, 257)]),
+        ("3", 257, [(0, 85), (85, 171), (171, 257)]),
+        ("4", 2, [(0, 1), (1, 2)]),
+    ]:
+        monkeypatch.setenv("DSM_THREADS", threads)
+        ranges.clear()
+        bootstrap_ci_plain(plan, y, 0.0, BootstrapSpec(n_draws=n_draws, seed=1))
+        assert sorted(ranges) == expected
+
+
+def test_set_threads_overrides_dsm_threads(monkeypatch):
+    monkeypatch.setenv("DSM_THREADS", "3")
+    assert unc._worker_count(unc._threads) == 3
+    monkeypatch.setattr(unc, "_threads", None)
+    unc._set_threads(1)
+    assert unc._worker_count(unc._threads) == 1
 
 
 def test_debiased_zero_when_outcomes_match_constant_prognosis():
@@ -227,25 +286,33 @@ def test_population_reduces_to_debiased_under_unit_weights():
     assert (deb.lo, deb.hi) == (pop.lo, pop.hi)
 
 
-def test_debiased_replicates_match_independent_evaluator():
-    # Re-derive the replicate values from scratch: same counter-based
-    # generator, A-columns first, two-point multipliers, normalized sum.
+def test_debiased_replicates_match_independent_evaluator(monkeypatch):
+    # Re-derive the replicate values from scratch: one counter-based
+    # generator for the whole block, A-columns first, two-point
+    # multipliers, normalized sum; at every thread count, with unit counts
+    # n_a + n_b of 6, 3, 7 and 1001 and chunks down to one draw.
     rng = np.random.default_rng(26)
     fit = linear_fit(0.2, 0.8)
-    a = SampleA(rng.normal(size=(4, 1)), rng.normal(size=4))
-    b = SampleB(rng.normal(size=(2, 1)), np.array([2.0, 3.0]))
-    plan = plan_from([[0, 1], [2, 3]], n_a=4, d_b=b.d)
     point = 0.45
-    spec = BootstrapSpec(n_draws=64, seed=12345)
-    report = bootstrap_ci_debiased(plan, fit, a, b, point, spec)
+    for n_a, n_b, n_draws in [(4, 2, 64), (2, 1, 3), (4, 3, 2), (600, 401, 37)]:
+        a = SampleA(rng.normal(size=(n_a, 1)), rng.normal(size=n_a))
+        b = SampleB(rng.normal(size=(n_b, 1)), rng.uniform(1.0, 4.0, size=n_b))
+        plan = plan_from(rng.integers(0, n_a, size=(n_b, 2)), n_a=n_a, d_b=b.d)
+        spec = BootstrapSpec(n_draws=n_draws, seed=12345)
 
-    gen = np.random.Generator(np.random.Philox(key=12345))
-    u = gen.random((64, 6))
-    w = np.where(u < MAMMEN_P_NEG, MAMMEN_NEG, MAMMEN_POS)
-    ra = plan.k_counts * (a.y - fit.prognostic(a.x)) / plan.m
-    rb = fit.prognostic(b.x) - point
-    expected = (w[:, :4] @ ra + w[:, 4:] @ rb) / plan.n_b
-    assert np.allclose(report.draws, expected, rtol=0.0, atol=1e-12)
+        gen = np.random.Generator(np.random.Philox(key=12345))
+        u = gen.random((n_draws, n_a + n_b))
+        w = np.where(u < MAMMEN_P_NEG, MAMMEN_NEG, MAMMEN_POS)
+        ra = plan.k_counts * (a.y - fit.prognostic(a.x)) / plan.m
+        rb = fit.prognostic(b.x) - point
+        expected = (w[:, :n_a] @ ra + w[:, n_a:] @ rb) / plan.n_b
+        for chunk_elems in (unc._CHUNK_ELEMS, 1):
+            monkeypatch.setattr(unc, "_CHUNK_ELEMS", chunk_elems)
+            for threads in (1, 2, 3, 4):
+                monkeypatch.setenv("DSM_THREADS", str(threads))
+                report = bootstrap_ci_debiased(plan, fit, a, b, point, spec)
+                assert np.allclose(report.draws, expected, rtol=0.0, atol=1e-12)
+        monkeypatch.undo()
 
 
 def test_population_replicates_match_independent_evaluator():
