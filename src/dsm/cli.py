@@ -80,7 +80,7 @@ def cmd_estimate(config: RunConfig):
     """Write the full estimate report: point estimates, analytic
     variance, and percentile-inverted bootstrap intervals."""
     bs = BootstrapSpec(n_draws=config.n_boot, alpha=config.alpha, seed=config.seed)
-    _worker_count(None)  # a bad DSM_THREADS fails before any CSV is read
+    _worker_count()  # a bad DSM_THREADS fails before any CSV is read
     a, b = load_samples(config.sample_a, config.sample_b, config)
     j = config.j if config.j is not None else 2 * config.m
     fit, plan, inner, est, ci_deb, ci_pop = _analyse(

@@ -45,12 +45,15 @@ def _read_rows(path):
     """Header and data rows of a CSV file.
 
     A UTF-8 byte-order mark (as in spreadsheet exports) is dropped, and so
-    are blank rows at the end of the file; a blank row anywhere else is a
-    ragged row and fails with its line number.
+    are blank rows at the end of the file; a blank row elsewhere is a ragged
+    row and, like an over-long field, fails with its line number.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = list(reader)
+    except csv.Error as err:
+        raise ParseError(f"{path}:{reader.line_num}: {err}") from None
     except OSError as err:
         raise ParseError(f"{path}: {err.strerror or err}") from None
     except UnicodeDecodeError as err:

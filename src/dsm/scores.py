@@ -172,10 +172,8 @@ class ScoreMatrix:
 
 
 def _standardize_columns(xa, xb):
-    """Pooled column means/sds for internal standardization, or (None, None)
-    when there are no covariates."""
-    if xa.shape[1] == 0:
-        return None, None
+    """Pooled column means/sds for internal standardization (empty when
+    there are no covariates)."""
     pooled = np.vstack([xa, xb])
     mu = pooled.mean(axis=0)
     sd = pooled.std(axis=0)
@@ -186,15 +184,10 @@ def _standardize_columns(xa, xb):
 
 
 def _design(x, mu, sd):
-    n = x.shape[0]
-    if x.shape[1] == 0:
-        return np.ones((n, 1))
-    return np.column_stack([np.ones(n), (x - mu) / sd])
+    return np.column_stack([np.ones(x.shape[0]), (x - mu) / sd])
 
 
 def _unstandardized(theta, mu, sd):
-    if mu is None:
-        return theta.copy()
     slopes = theta[1:] / sd
     return np.concatenate([[theta[0] - float(slopes @ mu)], slopes])
 

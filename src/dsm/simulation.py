@@ -37,7 +37,7 @@ from .matching import find_inner_neighbors, find_matches
 from .scores import SampleA, SampleB, build_score_matrix, fit_scores
 from .uncertainty import (
     BootstrapSpec,
-    _set_threads,
+    _one_bootstrap_thread,
     _worker_count,
     bootstrap_ci_debiased,
     bootstrap_ci_population,
@@ -109,7 +109,6 @@ class ScenarioSpec:
     n_boot: int = 0
     rho: float = 0.3
     seed: int = 0
-    workers: int | None = None
 
     def __post_init__(self):
         if self.nonlinearity not in NONLINEARITY_MODES:
@@ -462,16 +461,16 @@ def run_scenario_table(base: ScenarioSpec, scenarios=SCENARIOS) -> dict:
     Replications failing with a package error (separation, rank loss,
     domain problems) are dropped and counted per scenario; everything
     else is aggregated in replication order, so reports are bit-identical
-    for a given spec no matter the worker count (set via base.workers,
-    the DSM_THREADS environment variable, or the CPU count, in that order).
+    for a given spec no matter the worker count.  Replications run on a
+    pool of DSM_THREADS (else the CPU count) worker processes, never more
+    than replications; each worker bootstraps on one thread.
     """
     names, reps = tuple(dict.fromkeys(scenarios)), range(base.n_reps)
     if not set(names) <= set(SCENARIOS):
         raise ValueError(f"scenario must be one of {SCENARIOS}")
-    workers = _worker_count(base.workers)
-    if workers > 1 and base.n_reps > 1:
-        # Each worker process bootstraps on one thread.
-        with ProcessPoolExecutor(workers, initializer=_set_threads, initargs=(1,)) as pool:
+    workers = min(_worker_count(), base.n_reps)
+    if workers > 1:
+        with ProcessPoolExecutor(workers, initializer=_one_bootstrap_thread) as pool:
             chunk = max(1, base.n_reps // (workers * 8))
             results = list(pool.map(_replicate, repeat(base), repeat(names), reps, chunksize=chunk))
     else:

@@ -46,10 +46,6 @@ MAMMEN_P_NEG = (_SQRT5 + 1.0) / (2.0 * _SQRT5)
 # float64), so a chunk's temporaries stay in cache.
 _CHUNK_ELEMS = 1 << 16
 
-# Bootstrap thread cap; None follows _worker_count.  Simulation pool
-# workers set 1, since their processes already keep the CPUs busy.
-_threads = None
-
 
 @dataclass(frozen=True)
 class BootstrapSpec:
@@ -126,11 +122,9 @@ def analytic_variance(plan: MatchPlan, y_a, mu_b_hat: float, inner: InnerNeighbo
 
 # -- wild bootstrap -----------------------------------------------------
 
-def _worker_count(requested) -> int:
-    """requested if given, else the DSM_THREADS environment variable, else
-    the CPU count; at least 1."""
-    if requested is not None:
-        return max(1, int(requested))
+def _worker_count() -> int:
+    """DSM_THREADS, else the CPU count, at least 1: the one cap on both the
+    bootstrap's threads and the simulation's worker processes."""
     env = os.environ.get("DSM_THREADS", "").strip()
     if env:
         try:
@@ -140,10 +134,9 @@ def _worker_count(requested) -> int:
     return os.cpu_count() or 1
 
 
-def _set_threads(n) -> None:
-    """Cap the bootstrap threads of this process (None: _worker_count)."""
-    global _threads
-    _threads = n
+def _one_bootstrap_thread() -> None:
+    """Simulation pool initializer: its processes already keep the CPUs busy."""
+    os.environ["DSM_THREADS"] = "1"
 
 
 def _draw_range(spec: BootstrapSpec, resid, norm, out, lo: int, hi: int) -> None:
@@ -174,16 +167,13 @@ def _centered_draws(spec: BootstrapSpec, resid, norm):
     Multiplier weights come from a counter-based generator keyed by the
     seed: draw b always uses row b of one (n_draws, n_units) uniform
     block.  [0, n_draws) is split into contiguous draw ranges, one per
-    thread (at most _worker_count threads, and no more than draws); each
-    range starts its own generator at its first row's offset in the block
-    and works through it in cache-sized chunks.  So identical seeds give
-    bit-identical draws whatever the thread count or chunk size.
+    thread (_worker_count threads, no more than draws; one thread gets one
+    range), each starting its own generator at its first row's offset in
+    the block and working through it in cache-sized chunks.  So identical
+    seeds give bit-identical draws whatever the thread count or chunk size.
     """
     out = np.empty(spec.n_draws)
-    threads = min(_worker_count(_threads), spec.n_draws)
-    if threads == 1:
-        _draw_range(spec, resid, norm, out, 0, spec.n_draws)
-        return out
+    threads = min(_worker_count(), spec.n_draws)
     edges = [spec.n_draws * t // threads for t in range(threads + 1)]
     with ThreadPoolExecutor(threads) as pool:
         # numpy releases the GIL while it generates and reduces.

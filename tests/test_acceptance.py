@@ -276,7 +276,7 @@ def test_criterion_6_core_identities():
     # Identical runs are byte-identical.
     small = ScenarioSpec(
         nonlinearity="none", n_pop=4000, n_a=150, n_b=300,
-        n_reps=4, seed=42, workers=1,
+        n_reps=4, seed=42,
     )
     r1, r2 = run_monte_carlo(small), run_monte_carlo(small)
     for key in r1.estimates:

@@ -2,10 +2,16 @@
 with the library calls it wraps, exit-code families, and byte-identical
 reruns."""
 
+import csv
+import io
+import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import dsm.cli as cli
 import dsm.simulation
@@ -234,6 +240,18 @@ def test_non_utf8_file_exits_schema(sample_files, tmp_path, capsys):
     pb.write_bytes("x1,x2,d\n0.5,1.0,2.0\n\xe9,1.0,2.0\n".encode("latin-1"))
     assert main(_base_args("impute", pa, str(pb), tmp_path / "o.csv")) == 2
     assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["impute", "estimate"])
+def test_overlong_field_exits_schema(sample_files, tmp_path, capsys, cmd):
+    # A cell past csv.field_size_limit() makes the csv module raise its
+    # own error; it names the file and line like any other parse failure.
+    pa, _ = sample_files
+    pb = tmp_path / "long.csv"
+    pb.write_text(f"x1,x2,d\n0.5,1.0,2.0\n0.5,{'1' * (csv.field_size_limit() + 1)},2.0\n")
+    assert main(_base_args(cmd, pa, str(pb), tmp_path / "o.csv")) == 2
+    assert capsys.readouterr().err.startswith(f"dsm: {pb}:3: field larger than field limit")
+
 
 def test_header_only_file_exits_schema(sample_files, tmp_path, capsys):
     _, pb = sample_files
@@ -661,6 +679,79 @@ def test_estimate_byte_identical_across_thread_counts(sample_files, tmp_path, mo
         assert main(_base_args("estimate", pa, pb, out, bootstrap=999)) == 0
         outputs.append((out.read_bytes(), Path(str(out) + ".meta").read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# -- generated CSV text -------------------------------------------------
+
+_NUMBER = st.one_of(st.floats(0.1, 10.0).map(repr), st.integers(1, 9).map(str))
+# Any finite float: overflowing sums and spreads, subnormals, -0.0.
+_EXTREME = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_ODD_CELL = st.one_of(
+    st.sampled_from([
+        "", " ", "NaN", "nan", "inf", "-inf", "1e999", "0", "-1.5", "abc",
+        '"2.5"', '" 3 "', '"4,5"', '""', '"a""b"', '"unterminated',
+    ]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+    st.just("7" * (csv.field_size_limit() + 1)),
+)
+_HEADER_CELL = st.one_of(
+    st.sampled_from(["x1", "x2", "y", "d", " x1 ", '"x2"', "X1", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+)
+
+
+@st.composite
+def _csv_bytes(draw, required):
+    """A sample file: numeric rows under the required header, or a messy
+    one with random header cells, odd cells, ragged rows, blank lines, a
+    BOM, CRLF line ends or a byte that is not UTF-8."""
+    messy = draw(st.integers(0, 2), label="messy") == 0
+    number = draw(st.sampled_from([_NUMBER, _NUMBER, _EXTREME]), label="numbers")
+    header = list(draw(st.permutations(required)))
+    if messy and draw(st.booleans()):
+        header = draw(st.lists(_HEADER_CELL, max_size=5))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0 if messy else 3, 12))):
+        width = len(header)
+        if messy and draw(st.integers(0, 5)) == 0:
+            width = draw(st.integers(0, width + 2))
+        cell = st.one_of(number, _ODD_CELL) if messy else number
+        lines.append(",".join(draw(cell) for _ in range(width)))
+    if messy:
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+    data = (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")
+    if messy and draw(st.integers(0, 9)) == 0:
+        data += b"\xff"
+    return data
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    cmd=st.sampled_from(["impute", "estimate"]),
+    file_a=_csv_bytes(("x1", "x2", "y")),
+    file_b=_csv_bytes(("x1", "x2", "d")),
+    m=st.integers(1, 3),
+)
+def test_generated_csv_text_exits_with_a_named_failure(cmd, file_a, file_b, m):
+    # Whatever the files hold, the CLI either succeeds or exits with its
+    # family's code and a "dsm:" line; an escaping exception fails here.
+    with tempfile.TemporaryDirectory() as tmp:
+        pa, pb, out = Path(tmp, "a.csv"), Path(tmp, "b.csv"), Path(tmp, "o.csv")
+        pa.write_bytes(file_a)
+        pb.write_bytes(file_b)
+        extra = {"bootstrap": 20} if cmd == "estimate" else {}
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(_base_args(cmd, str(pa), str(pb), out, m=m, **extra))
+        event(f"exit {code}")
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert err.getvalue().splitlines()[-1].startswith("dsm: ")
+        else:
+            assert out.exists()
 
 
 # -- serialization ------------------------------------------------------

@@ -4,6 +4,7 @@ accounting, single-replication degeneracy)."""
 
 import multiprocessing
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,12 @@ from dsm import (
     run_monte_carlo,
     run_scenario_table,
 )
+
+
+@pytest.fixture(autouse=True)
+def one_worker(monkeypatch):
+    # Replications run in this process unless a test asks for a pool.
+    monkeypatch.setenv("DSM_THREADS", "1")
 
 
 # -- calibrations -------------------------------------------------------
@@ -256,13 +263,13 @@ def test_views_reject_unknown_labels():
 # -- harness ------------------------------------------------------------
 
 SMALL = ScenarioSpec(
-    n_pop=4000, n_a=150, n_b=300, m=3, n_reps=4, n_boot=0, seed=42, workers=1,
+    n_pop=4000, n_a=150, n_b=300, m=3, n_reps=4, n_boot=0, seed=42,
 )
 
 
 def test_single_replication_degenerate_aggregates():
     spec = ScenarioSpec(
-        n_pop=4000, n_a=150, n_b=300, m=3, n_reps=1, n_boot=0, seed=11, workers=1,
+        n_pop=4000, n_a=150, n_b=300, m=3, n_reps=1, n_boot=0, seed=11,
     )
     rep = run_monte_carlo(spec)
     assert rep.n_ok == 1 and rep.n_failed == 0
@@ -283,31 +290,68 @@ def test_same_seed_reproduces_bitwise():
         assert np.array_equal(r1.targets[key], r2.targets[key])
 
 
-def test_worker_count_does_not_change_results():
-    from dataclasses import replace
-
+def test_worker_count_does_not_change_results(monkeypatch):
     serial = run_monte_carlo(SMALL)
-    parallel = run_monte_carlo(replace(SMALL, workers=2))
+    monkeypatch.setenv("DSM_THREADS", "2")
+    parallel = run_monte_carlo(SMALL)
     for key in serial.estimates:
         assert np.array_equal(serial.estimates[key], parallel.estimates[key])
 
 
+def _assert_reports_equal(got, want, n_reps):
+    # Bitwise equality of every report field over the first n_reps
+    # replications; none of them may have failed.
+    for sc, rep in want.items():
+        other = got[sc]
+        assert rep.failures == other.failures == ()
+        for field in ("estimates", "targets", "coverage"):
+            theirs, ours = getattr(other, field), getattr(rep, field)
+            assert theirs.keys() == ours.keys()
+            for key in ours:
+                assert np.array_equal(theirs[key][:n_reps], ours[key][:n_reps]), (sc, field, key)
+
+
 def test_pool_workers_match_serial_with_bootstrap(monkeypatch):
-    # Serial replications bootstrap on two threads here, pool workers on
-    # one; every report is bitwise equal.
-    monkeypatch.setenv("DSM_THREADS", "2")
+    # Pool workers bootstrap on one thread.  A replication run in this
+    # process bootstraps on DSM_THREADS threads: one for the whole serial
+    # table, two for the single replication (no pool for one replication).
     spec = replace(SMALL, n_reps=4, n_boot=40)
     serial = run_scenario_table(spec)
-    pooled = run_scenario_table(replace(spec, workers=2))
-    for sc, rep in serial.items():
-        other = pooled[sc]
-        assert (rep.n_ok, rep.n_failed, rep.failures) == (
-            other.n_ok, other.n_failed, other.failures)
-        for field in ("estimates", "targets", "coverage"):
-            got, want = getattr(other, field), getattr(rep, field)
-            assert got.keys() == want.keys()
-            for key in want:
-                assert np.array_equal(got[key], want[key]), (sc, field, key)
+    monkeypatch.setenv("DSM_THREADS", "2")
+    pooled = run_scenario_table(spec)
+    first = run_scenario_table(replace(spec, n_reps=1))
+    _assert_reports_equal(pooled, serial, 4)
+    _assert_reports_equal(pooled, first, 1)
+
+
+def test_pool_never_outnumbers_replications(monkeypatch):
+    # A fork pool starts all of its processes at once, so it is sized to
+    # the replications; one replication, or one worker, runs in this
+    # process.
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer):
+            made.append(max_workers)
+            # Spawn and forkserver pools pickle their initializer.
+            pickle.loads(pickle.dumps(initializer))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    for threads, n_reps, expected in [("4", 2, [2]), ("2", 3, [2]), ("4", 1, []), ("1", 3, [])]:
+        monkeypatch.setenv("DSM_THREADS", threads)
+        made.clear()
+        reports = run_scenario_table(replace(SMALL, n_reps=n_reps))
+        assert made == expected, threads
+        assert all(rep.n_ok + rep.n_failed == n_reps for rep in reports.values())
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -325,7 +369,7 @@ def test_pool_workers_bootstrap_on_one_thread(monkeypatch, tmp_path):
         real(spec, resid, norm, out, lo, hi)
 
     monkeypatch.setattr(unc, "_draw_range", spy)
-    run_scenario_table(replace(SMALL, n_reps=2, n_boot=30, workers=2))
+    run_scenario_table(replace(SMALL, n_reps=2, n_boot=30))
     rows = [line.split() for line in log.read_text().splitlines()]
     assert len(rows) == 2 * 4 * 2
     for pid, lo, hi, n_draws in rows:
@@ -439,7 +483,7 @@ def test_empty_volunteer_sample_fails_its_replication():
     # Replication 6 of this spec draws no volunteer unit: it fails under
     # every scenario instead of aborting the run, and with every other
     # replication failing too the run raises the package's error.
-    spec = ScenarioSpec(n_pop=400, n_a=1, n_b=30, m=1, n_reps=8, seed=2, workers=1)
+    spec = ScenarioSpec(n_pop=400, n_a=1, n_b=30, m=1, n_reps=8, seed=2)
     assert sim._replicate(spec, sim.SCENARIOS, 6) == {
         sc: ("fail", "EmptySample") for sc in sim.SCENARIOS
     }
@@ -485,7 +529,6 @@ def test_small_specs_account_for_every_replication(data):
         n_reps=data.draw(st.integers(1, 3), label="n_reps"),
         n_boot=data.draw(st.sampled_from((0, 20)), label="n_boot"),
         seed=data.draw(st.integers(0, 2**32), label="seed"),
-        workers=1,
     )
     try:
         reports = run_scenario_table(spec)

@@ -243,14 +243,6 @@ def test_draw_ranges_split_across_threads(monkeypatch):
         assert sorted(ranges) == expected
 
 
-def test_set_threads_overrides_dsm_threads(monkeypatch):
-    monkeypatch.setenv("DSM_THREADS", "3")
-    assert unc._worker_count(unc._threads) == 3
-    monkeypatch.setattr(unc, "_threads", None)
-    unc._set_threads(1)
-    assert unc._worker_count(unc._threads) == 1
-
-
 def test_debiased_zero_when_outcomes_match_constant_prognosis():
     fit = linear_fit(3.0, 0.0)
     a = SampleA(np.array([[0.0], [1.0], [2.0]]), np.full(3, 3.0))
