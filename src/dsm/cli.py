@@ -6,7 +6,7 @@ analytic and bootstrap uncertainty, `simulate` reruns the built-in
 Monte Carlo study tables.  Exit codes separate failure families: 2 for
 input, schema and output-path problems, 3 for numeric/configuration
 problems, 4 for convergence problems.  DSM_THREADS caps the simulation's
-worker processes and the bootstrap's threads (unset: the CPU count).
+processes and the bootstrap's threads (unset: the CPUs it may run on).
 """
 
 from __future__ import annotations

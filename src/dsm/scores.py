@@ -175,11 +175,11 @@ def _standardize_columns(xa, xb):
     """Pooled column means/sds for internal standardization (empty when
     there are no covariates)."""
     pooled = np.vstack([xa, xb])
-    mu = pooled.mean(axis=0)
-    sd = pooled.std(axis=0)
-    if np.any(sd == 0):
-        j = int(np.argmax(sd == 0))
-        raise RankDeficient(f"covariate column {j} is constant over the pooled sample")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sd is reported below
+        mu, sd = pooled.mean(axis=0), pooled.std(axis=0)
+    for bad, why in ((~np.isfinite(sd), "spreads beyond float64"), (sd == 0, "is constant")):
+        if np.any(bad):
+            raise RankDeficient(f"covariate column {np.argmax(bad)} {why} over the pooled sample")
     return mu, sd
 
 

@@ -461,9 +461,9 @@ def run_scenario_table(base: ScenarioSpec, scenarios=SCENARIOS) -> dict:
     Replications failing with a package error (separation, rank loss,
     domain problems) are dropped and counted per scenario; everything
     else is aggregated in replication order, so reports are bit-identical
-    for a given spec no matter the worker count.  Replications run on a
-    pool of DSM_THREADS (else the CPU count) worker processes, never more
-    than replications; each worker bootstraps on one thread.
+    for a given spec no matter the worker count.  Replications run on up
+    to DSM_THREADS (else the CPUs this process may run on) worker
+    processes, never more than replications; each bootstraps on one thread.
     """
     names, reps = tuple(dict.fromkeys(scenarios)), range(base.n_reps)
     if not set(names) <= set(SCENARIOS):

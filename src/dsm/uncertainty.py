@@ -81,10 +81,18 @@ class IntervalReport:
     draws: np.ndarray
 
 
+def _mammen_fill(gen, w):
+    """Overwrite w in place with weights: (NEG - POS) * {1.0, 0.0} + POS is exactly {NEG, POS}."""
+    np.less(gen.random(out=w), MAMMEN_P_NEG, out=w)
+    w *= MAMMEN_NEG - MAMMEN_POS
+    w += MAMMEN_POS
+    return w
+
+
 def mammen_draw(rng, size):
     """An ndarray of the given shape drawn from the two-point multiplier
     distribution."""
-    return np.where(rng.random(size) < MAMMEN_P_NEG, MAMMEN_NEG, MAMMEN_POS)
+    return _mammen_fill(rng, np.empty(size))
 
 
 # -- residual variance and the analytic check ---------------------------
@@ -123,15 +131,16 @@ def analytic_variance(plan: MatchPlan, y_a, mu_b_hat: float, inner: InnerNeighbo
 # -- wild bootstrap -----------------------------------------------------
 
 def _worker_count() -> int:
-    """DSM_THREADS, else the CPU count, at least 1: the one cap on both the
-    bootstrap's threads and the simulation's worker processes."""
+    """DSM_THREADS, else the CPUs this process may run on, at least 1: the one
+    cap on both the bootstrap's threads and the simulation's worker processes."""
     env = os.environ.get("DSM_THREADS", "").strip()
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise ValueError(f"DSM_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _one_bootstrap_thread() -> None:
@@ -151,13 +160,14 @@ def _draw_range(spec: BootstrapSpec, resid, norm, out, lo: int, hi: int) -> None
     gen = np.random.Generator(np.random.Philox(key=spec.seed).advance(lo * n // 4))
     gen.random(lo * n % 4)
     chunk = max(1, _CHUNK_ELEMS // max(1, n))
+    buf = np.empty((min(chunk, hi - lo), n))
     for pos in range(lo, hi, chunk):
-        end = min(pos + chunk, hi)
-        w = mammen_draw(gen, (end - pos, n))
+        w = _mammen_fill(gen, buf[: hi - pos])  # chunk rows, fewer in the last
+        w *= resid
         # Row-wise multiply-reduce, not a matvec: BLAS accumulation order
         # varies with the row count, which would make the draws depend on
         # the chunk size at the last ulp.
-        out[pos:end] = (w * resid).sum(axis=1) / norm
+        out[pos : pos + len(w)] = w.sum(axis=1) / norm
 
 
 def _centered_draws(spec: BootstrapSpec, resid, norm):

@@ -5,6 +5,7 @@ reruns."""
 import csv
 import io
 import tempfile
+import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -374,6 +375,23 @@ def test_weights_not_covering_sample_a_exit_convergence(tmp_path, capsys):
     pa, pb = _write_pair(tmp_path, xa, y, xb, d)
     assert main(_base_args("impute", pa, pb, tmp_path / "o.csv")) == 4
     assert "design weights sum to 10, not more than the 12 sample-A units" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("cmd", ["impute", "estimate"])
+def test_overflowing_covariate_spread_exits_numeric(tmp_path, capsys, cmd):
+    # One 1e200 cell overflows the pooled variance of x1 in float64: the
+    # run names that column, instead of warning from numpy and then
+    # blaming the whole design matrix.
+    xa, y, xb, d = _dataset(np.random.default_rng(7))
+    xa[3, 0] = 1e200
+    pa, pb = _write_pair(tmp_path, xa, y, xb, d)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(_base_args(cmd, pa, pb, tmp_path / "o.csv")) == 3
+    err = capsys.readouterr().err
+    assert err == "dsm: covariate column 0 spreads beyond float64 over the pooled sample\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "o.csv").exists()
 
 

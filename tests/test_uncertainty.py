@@ -2,7 +2,9 @@
 bootstrap: hand values, moment checks, an independently coded replicate
 evaluator, and the determinism contract."""
 
+import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +137,26 @@ def test_mammen_moments():
     assert abs(np.mean(w**3) - 1.0) < 4 * 2 * se
 
 
+def test_mammen_draw_matches_where_construction():
+    # The in-place kernel gives, bit for bit, the weights of the
+    # select-by-mask construction from the same uniforms.
+    for size in [(0,), (1,), (1000,), (3, 7)]:
+        got = mammen_draw(np.random.default_rng(31), size)
+        u = np.random.default_rng(31).random(size)
+        want = np.where(u < MAMMEN_P_NEG, MAMMEN_NEG, MAMMEN_POS)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), size
+
+
+def test_mammen_kernel_support_points_are_exact():
+    # The kernel maps a uniform to (NEG - POS) * {1.0, 0.0} + POS.  These
+    # identities must hold in IEEE double for every weight to be exactly a
+    # support point; a change to the constants that breaks them fails here.
+    step = MAMMEN_NEG - MAMMEN_POS
+    assert step * 1.0 + MAMMEN_POS == MAMMEN_NEG
+    assert step * 0.0 + MAMMEN_POS == MAMMEN_POS
+
+
 # -- bootstrap intervals ------------------------------------------------
 
 def test_plain_degenerate_interval():
@@ -218,6 +240,36 @@ def test_chunk_size_invariance(monkeypatch):
             monkeypatch.undo()
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_centered_draws_memory_is_one_chunk_per_thread(monkeypatch):
+    # Each thread fills and reduces one reused chunk buffer in place, so
+    # the traced peak stays near threads * _CHUNK_ELEMS float64 values
+    # whatever the draw count.
+    n = 12_000
+    resid = np.random.default_rng(32).normal(size=n)
+    spec = BootstrapSpec(n_draws=200, seed=5)
+    for threads in (1, 2):
+        monkeypatch.setenv("DSM_THREADS", str(threads))
+        tracemalloc.start()
+        try:
+            unc._centered_draws(spec, resid, float(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= threads * 1.25 * unc._CHUNK_ELEMS * 8, (threads, peak)
+
+
+def test_worker_count_defaults_to_cpu_affinity(monkeypatch):
+    # Unset DSM_THREADS means the CPUs this process may run on (a taskset
+    # or cpuset mask), not every CPU of the host.
+    monkeypatch.delenv("DSM_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert unc._worker_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert unc._worker_count() == 3
+    monkeypatch.setenv("DSM_THREADS", "4")
+    assert unc._worker_count() == 4
 
 
 def test_draw_ranges_split_across_threads(monkeypatch):
