@@ -15,6 +15,7 @@ import argparse
 import errno
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 
 from . import __version__
@@ -23,6 +24,7 @@ from .errors import (
     NonConvergence,
     NonpositiveWeight,
     ParseError,
+    RankDeficient,
     SchemaMismatch,
     Separation,
 )
@@ -60,11 +62,25 @@ def _fit_meta(config: RunConfig, fit, plan):
     }
 
 
+@contextmanager
+def _covariates_by_header(config: RunConfig):
+    """Name a covariate the fit rejects by its CSV header, not its index."""
+    try:
+        yield
+    except RankDeficient as err:
+        if err.column is None:
+            raise
+        name = config.covariates[err.column]
+        message = str(err).replace(f"column {err.column} ", f"{name!r} ", 1)
+        raise RankDeficient(message) from None
+
+
 def cmd_impute(config: RunConfig):
     """Write one row per sample-B unit: covariates, weight, imputed
     outcome, and both fitted scores."""
     a, b = load_samples(config.sample_a, config.sample_b, config)
-    fit = fit_scores(a, b)
+    with _covariates_by_header(config):
+        fit = fit_scores(a, b)
     plan = find_matches(build_score_matrix(a, b, fit), config.m, d_b=b.d)
     yhat = impute(plan, a.y)
     f_b = fit.propensity(b.x)
@@ -83,8 +99,9 @@ def cmd_estimate(config: RunConfig):
     _worker_count()  # a bad DSM_THREADS fails before any CSV is read
     a, b = load_samples(config.sample_a, config.sample_b, config)
     j = config.j if config.j is not None else 2 * config.m
-    fit, plan, inner, est, ci_deb, ci_pop = _analyse(
-        a, b, config.m, bs if config.debias else None, j=j)
+    with _covariates_by_header(config):
+        fit, plan, inner, est, ci_deb, ci_pop = _analyse(
+            a, b, config.m, bs if config.debias else None, j=j)
     var = analytic_variance(plan, a.y, est.mu_b, inner)
     se = (var / plan.n_b) ** 0.5
     ci_plain = bootstrap_ci_plain(plan, a.y, est.mu_b, bs)

@@ -31,7 +31,18 @@ class EmptySample(DsmError):
 
 
 class RankDeficient(DsmError):
-    """Design matrix does not have full column rank."""
+    """Design matrix does not have full column rank.  When one covariate
+    is to blame, `column` is its index among the covariates the model was
+    given, else None."""
+
+    def __init__(self, *args, column=None):
+        super().__init__(*args)
+        self.column = column
+
+
+class WeightOverflow(DsmError):
+    """The design weights, or the score fit's gradient or curvature built
+    from them, leave the float64 range."""
 
 
 class DegenerateScore(DsmError):

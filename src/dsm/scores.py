@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     DegenerateScore,
@@ -24,6 +23,7 @@ from .errors import (
     NonpositiveWeight,
     RankDeficient,
     Separation,
+    WeightOverflow,
 )
 
 __all__ = [
@@ -114,6 +114,14 @@ class SampleB:
         return self.x.shape[0]
 
 
+def _expit(x):
+    """The logistic function 1 / (1 + exp(-x)), elementwise."""
+    # Lazy: scipy.special costs about half of `import dsm`, and only a fit needs it.
+    from scipy.special import expit
+
+    return expit(x)
+
+
 def _take_cols(x: np.ndarray, cols) -> np.ndarray:
     if cols is None:
         return x
@@ -144,7 +152,7 @@ class ScoreFit:
     def propensity(self, x) -> np.ndarray:
         """Fitted sampling score f(x) for each row of x (full covariate set)."""
         x = _take_cols(np.asarray(x, dtype=np.float64), self.cols_r)
-        return expit(self.theta_r[0] + x @ self.theta_r[1:])
+        return _expit(self.theta_r[0] + x @ self.theta_r[1:])
 
     def prognostic(self, x) -> np.ndarray:
         """Fitted outcome-model prediction g(x) for each row of x."""
@@ -179,7 +187,8 @@ def _standardize_columns(xa, xb):
         mu, sd = pooled.mean(axis=0), pooled.std(axis=0)
     for bad, why in ((~np.isfinite(sd), "spreads beyond float64"), (sd == 0, "is constant")):
         if np.any(bad):
-            raise RankDeficient(f"covariate column {np.argmax(bad)} {why} over the pooled sample")
+            j = int(np.argmax(bad))
+            raise RankDeficient(f"covariate column {j} {why} over the pooled sample", column=j)
     return mu, sd
 
 
@@ -204,10 +213,14 @@ def _newton_propensity(xa, xb, d):
     p = dm_a.shape[1]
     if np.linalg.matrix_rank(np.vstack([dm_a, dm_b])) < p:
         raise RankDeficient("pooled design matrix is rank deficient")
+    with np.errstate(over="ignore"):  # an infinite sum is reported below
+        d_sum = d.sum()
+    if not np.isfinite(d_sum):
+        raise WeightOverflow("sample-B design weights sum beyond float64")
     # The intercept's score equation n_A = sum_B d_i f_i, f_i < 1, needs sum(d) > n_A.
-    if d.sum() <= xa.shape[0]:
+    if d_sum <= xa.shape[0]:
         raise Separation(
-            f"sample-B design weights sum to {d.sum():g}, not more than the {xa.shape[0]} "
+            f"sample-B design weights sum to {d_sum:g}, not more than the {xa.shape[0]} "
             "sample-A units: they cannot represent a population that contains sample A"
         )
 
@@ -217,48 +230,57 @@ def _newton_propensity(xa, xb, d):
     obj = float(ga @ theta - d @ np.logaddexp(0.0, eta_b))
 
     def fail(msg):
-        f_pool = expit(np.concatenate([dm_a @ theta, eta_b]))
+        f_pool = _expit(np.concatenate([dm_a @ theta, eta_b]))
         pinned = np.any(f_pool < _PIN_TOL) or np.any(f_pool > 1.0 - _PIN_TOL)
         cls = Separation if pinned else NonConvergence
         raise cls(msg)
 
     gnorm = np.inf
-    for it in range(_MAX_ITER + 1):
-        f_b = expit(eta_b)
-        grad = ga - dm_b.T @ (d * f_b)
-        gnorm = float(np.max(np.abs(grad)))
-        if gnorm <= _TOL:
-            return _unstandardized(theta, mu, sd), it, gnorm
-        if it == _MAX_ITER:
-            break
-
-        w = d * f_b * (1.0 - f_b)
-        hess = (dm_b * w[:, None]).T @ dm_b
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            fail("curvature matrix is singular")
-
-        # Step-halving: the likelihood is concave, so the Newton direction
-        # ascends; halve until the objective stops decreasing.  Near the
-        # optimum the true improvement drops below the objective's float
-        # resolution, so apparent decreases within summation roundoff are
-        # accepted rather than rejected.
-        slack = 1e-9 * (1.0 + abs(obj))
-        t = 1.0
-        for _ in range(60):
-            cand = theta + t * step
-            eta_c = dm_b @ cand
-            obj_c = float(ga @ cand - d @ np.logaddexp(0.0, eta_c))
-            if np.isfinite(obj_c) and obj_c >= obj - slack:
+    # Overflow is handled, not warned about: weights that carry the gradient
+    # or curvature out of float64 raise WeightOverflow, and the step search
+    # halves a step whose objective is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(_MAX_ITER + 1):
+            f_b = _expit(eta_b)
+            grad = ga - dm_b.T @ (d * f_b)
+            gnorm = float(np.max(np.abs(grad)))
+            if gnorm <= _TOL:
+                return _unstandardized(theta, mu, sd), it, gnorm
+            if it == _MAX_ITER:
                 break
-            t *= 0.5
-        else:
-            fail(f"step search stalled at gradient norm {gnorm:.3g}")
 
-        theta, eta_b, obj = cand, eta_c, obj_c
-        if np.max(np.abs(_unstandardized(theta, mu, sd))) > _COEF_LIMIT:
-            raise Separation("coefficients diverged; the samples are separable")
+            w = d * f_b * (1.0 - f_b)
+            hess = (dm_b * w[:, None]).T @ dm_b
+            # The covariates are standardized and f(1 - f) <= 1/4: only the
+            # weights can make these non-finite.
+            if not (np.isfinite(gnorm) and np.all(np.isfinite(hess))):
+                raise WeightOverflow(
+                    "sample-B design weights are too large for the fit in float64")
+            try:
+                step = np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:
+                fail("curvature matrix is singular")
+
+            # Step-halving: the likelihood is concave, so the Newton direction
+            # ascends; halve until the objective stops decreasing.  Near the
+            # optimum the true improvement drops below the objective's float
+            # resolution, so apparent decreases within summation roundoff are
+            # accepted rather than rejected.
+            slack = 1e-9 * (1.0 + abs(obj))
+            t = 1.0
+            for _ in range(60):
+                cand = theta + t * step
+                eta_c = dm_b @ cand
+                obj_c = float(ga @ cand - d @ np.logaddexp(0.0, eta_c))
+                if np.isfinite(obj_c) and obj_c >= obj - slack:
+                    break
+                t *= 0.5
+            else:
+                fail(f"step search stalled at gradient norm {gnorm:.3g}")
+
+            theta, eta_b, obj = cand, eta_c, obj_c
+            if np.max(np.abs(_unstandardized(theta, mu, sd))) > _COEF_LIMIT:
+                raise Separation("coefficients diverged; the samples are separable")
 
     fail(f"no convergence in {_MAX_ITER} iterations (gradient norm {gnorm:.3g})")
 
@@ -317,7 +339,7 @@ def fit_scores(a: SampleA, b: SampleB, cols_r=None, cols_y=None) -> ScoreFit:
     theta_y = fit_prognostic(SampleA(_take_cols(a.x, cols_y), a.y))
 
     pooled = np.vstack([a.x, b.x])
-    f = expit(theta_r[0] + _take_cols(pooled, cols_r) @ theta_r[1:])
+    f = _expit(theta_r[0] + _take_cols(pooled, cols_r) @ theta_r[1:])
     g = theta_y[0] + _take_cols(pooled, cols_y) @ theta_y[1:]
     return ScoreFit(
         theta_r=theta_r,

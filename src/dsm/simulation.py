@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     BracketFailure,
@@ -34,7 +33,7 @@ from .errors import (
 )
 from .estimators import point_estimates
 from .matching import find_inner_neighbors, find_matches
-from .scores import SampleA, SampleB, build_score_matrix, fit_scores
+from .scores import SampleA, SampleB, _expit, build_score_matrix, fit_scores
 from .uncertainty import (
     BootstrapSpec,
     _one_bootstrap_thread,
@@ -162,7 +161,7 @@ def calibrate_theta0(x, target_n_a: float) -> float:
     base = np.asarray(x, dtype=np.float64) @ _SELECTION_SLOPES
 
     def excess(t):
-        return float(expit(t + base).sum()) - target_n_a
+        return float(_expit(t + base).sum()) - target_n_a
 
     lo, hi = -40.0, 40.0
     e_lo, e_hi = excess(lo), excess(hi)
@@ -244,7 +243,7 @@ def gen_population(spec: ScenarioSpec, rng) -> PopulationFrame:
     y = cond_mean + sigma * rng.standard_normal(n)
 
     theta0 = calibrate_theta0(x, spec.n_a)
-    pi_a = expit(theta0 + x @ _SELECTION_SLOPES)
+    pi_a = _expit(theta0 + x @ _SELECTION_SLOPES)
     c_pps, pi_b = calibrate_pps(x3, spec.n_b)
     return PopulationFrame(x=x, y=y, cond_mean=cond_mean, pi_a=pi_a, pi_b=pi_b, c_pps=c_pps)
 
@@ -470,6 +469,8 @@ def run_scenario_table(base: ScenarioSpec, scenarios=SCENARIOS) -> dict:
         raise ValueError(f"scenario must be one of {SCENARIOS}")
     workers = min(_worker_count(), base.n_reps)
     if workers > 1:
+        import scipy.special  # loaded once here: the forked workers inherit it
+
         with ProcessPoolExecutor(workers, initializer=_one_bootstrap_thread) as pool:
             chunk = max(1, base.n_reps // (workers * 8))
             results = list(pool.map(_replicate, repeat(base), repeat(names), reps, chunksize=chunk))

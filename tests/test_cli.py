@@ -390,7 +390,41 @@ def test_overflowing_covariate_spread_exits_numeric(tmp_path, capsys, cmd):
         warnings.simplefilter("always")
         assert main(_base_args(cmd, pa, pb, tmp_path / "o.csv")) == 3
     err = capsys.readouterr().err
-    assert err == "dsm: covariate column 0 spreads beyond float64 over the pooled sample\n"
+    assert err == "dsm: covariate 'x1' spreads beyond float64 over the pooled sample\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("cmd", ["impute", "estimate"])
+def test_constant_covariate_is_named_by_header(tmp_path, capsys, cmd):
+    # --covariates lists x2 first, so the fit's column 0 is x2: the
+    # message must follow the command line's order, not the file's.
+    xa, y, xb, d = _dataset(np.random.default_rng(7))
+    xa[:, 1], xb[:, 1] = 1.5, 1.5
+    pa, pb = _write_pair(tmp_path, xa, y, xb, d)
+    args = _base_args(cmd, pa, pb, tmp_path / "o.csv")
+    args[args.index("x1,x2")] = "x2,x1"
+    assert main(args) == 3
+    assert capsys.readouterr().err == "dsm: covariate 'x2' is constant over the pooled sample\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("cmd", ["impute", "estimate"])
+@pytest.mark.parametrize("weights, x1, message", [
+    # Two 1e308 weights sum to inf: said so, instead of 100 Newton steps of
+    # numpy overflow warnings and a "no convergence" exit 4.
+    ((1e308, 1e308), 1.0, "sum beyond float64"),
+    # A finite sum whose curvature overflows, through a far-out x1.
+    ((1e308,), 6e7, "are too large for the fit in float64"),
+], ids=["sum", "curvature"])
+def test_overflowing_weights_exit_numeric(tmp_path, capsys, cmd, weights, x1, message):
+    xa, y, xb, d = _dataset(np.random.default_rng(7))
+    d[: len(weights)], xb[0, 0] = weights, x1
+    pa, pb = _write_pair(tmp_path, xa, y, xb, d)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(_base_args(cmd, pa, pb, tmp_path / "o.csv")) == 3
+    assert capsys.readouterr().err == f"dsm: sample-B design weights {message}\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "o.csv").exists()
 
@@ -746,6 +780,7 @@ def _csv_bytes(draw, required):
     return data
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     cmd=st.sampled_from(["impute", "estimate"]),

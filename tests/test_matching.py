@@ -325,15 +325,38 @@ def test_candidate_subset_search_agrees_with_oracle_on_continuous_scores():
         assert np.array_equal(inner.l_sets, full_inner[:, : 2 * m])
 
 
-def test_importing_the_cli_leaves_scipy_spatial_unloaded():
-    # scipy.spatial pulls in scipy.linalg and scipy.sparse; matching
-    # imports it only when it searches, so start-up does not pay for it.
+def _run_python(*args):
     root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", "import dsm.cli, sys; sys.exit('scipy.spatial' in sys.modules)"],
+    return subprocess.run(
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr or "dsm.cli imported scipy.spatial"
+
+
+_SCIPY_LOADED = "sorted(m for m in ('scipy.special', 'scipy.spatial') if m in sys.modules)"
+
+
+def test_importing_the_cli_leaves_scipy_spatial_unloaded():
+    # scipy.spatial pulls in scipy.linalg and scipy.sparse, and scipy.special
+    # is about half of the start-up cost; they load on the first search or
+    # fit, so start-up does not pay for them.
+    for module in ("dsm", "dsm.cli"):
+        proc = _run_python("-c", f"import sys, {module}; print({_SCIPY_LOADED})")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", f"import {module} loaded {proc.stdout.strip()}"
+
+
+def test_input_error_exits_before_scipy_loads(tmp_path):
+    # A CSV that lacks a covariate fails on load, without waiting on scipy.
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    pa.write_text("x1,y\n0.5,1.0\n1.5,2.0\n")
+    pb.write_text("x1,d\n0.5,3.0\n1.5,3.0\n")
+    argv = ["estimate", "--sample-a", str(pa), "--sample-b", str(pb),
+            "--covariates", "x1,x9", "--out", str(tmp_path / "o.csv")]
+    code = f"import sys; from dsm.cli import main; print(main(sys.argv[1:]), {_SCIPY_LOADED})"
+    proc = _run_python("-c", code, *argv)
+    assert proc.stdout == "2 []\n", proc.stderr
+    assert "x9" in proc.stderr
