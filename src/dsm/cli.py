@@ -5,7 +5,8 @@ the reference sample, `estimate` writes all point estimates with
 analytic and bootstrap uncertainty, `simulate` reruns the built-in
 Monte Carlo study tables.  Exit codes separate failure families: 2 for
 input, schema and output-path problems, 3 for numeric/configuration
-problems, 4 for convergence problems.  DSM_THREADS caps the simulation's
+problems, 4 for convergence problems; each `dsm.errors` class declares
+its status as `exit_code`.  DSM_THREADS caps the simulation's
 processes and the bootstrap's threads (unset: the CPUs it may run on).
 """
 
@@ -15,19 +16,10 @@ import argparse
 import errno
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import fields
 
 from . import __version__
-from .errors import (
-    DsmError,
-    NonConvergence,
-    NonpositiveWeight,
-    ParseError,
-    RankDeficient,
-    SchemaMismatch,
-    Separation,
-)
+from .errors import DsmError
 from .io import RunConfig, load_samples, write_csv, write_meta
 from .matching import find_matches, impute
 from .scores import build_score_matrix, fit_scores
@@ -42,7 +34,6 @@ from .uncertainty import BootstrapSpec, _worker_count, analytic_variance, bootst
 
 _EXIT_SCHEMA = 2
 _EXIT_NUMERIC = 3
-_EXIT_CONVERGENCE = 4
 
 # --scale presets: replications and bootstrap draws.
 _SCALES = {"desk": (500, 1000), "paper": (2000, 2000)}
@@ -62,25 +53,11 @@ def _fit_meta(config: RunConfig, fit, plan):
     }
 
 
-@contextmanager
-def _covariates_by_header(config: RunConfig):
-    """Name a covariate the fit rejects by its CSV header, not its index."""
-    try:
-        yield
-    except RankDeficient as err:
-        if err.column is None:
-            raise
-        name = config.covariates[err.column]
-        message = str(err).replace(f"column {err.column} ", f"{name!r} ", 1)
-        raise RankDeficient(message) from None
-
-
 def cmd_impute(config: RunConfig):
     """Write one row per sample-B unit: covariates, weight, imputed
     outcome, and both fitted scores."""
     a, b = load_samples(config.sample_a, config.sample_b, config)
-    with _covariates_by_header(config):
-        fit = fit_scores(a, b)
+    fit = fit_scores(a, b)
     plan = find_matches(build_score_matrix(a, b, fit), config.m, d_b=b.d)
     yhat = impute(plan, a.y)
     f_b = fit.propensity(b.x)
@@ -99,9 +76,8 @@ def cmd_estimate(config: RunConfig):
     _worker_count()  # a bad DSM_THREADS fails before any CSV is read
     a, b = load_samples(config.sample_a, config.sample_b, config)
     j = config.j if config.j is not None else 2 * config.m
-    with _covariates_by_header(config):
-        fit, plan, inner, est, ci_deb, ci_pop = _analyse(
-            a, b, config.m, bs if config.debias else None, j=j)
+    fit, plan, inner, est, ci_deb, ci_pop = _analyse(
+        a, b, config.m, bs if config.debias else None, j=j)
     var = analytic_variance(plan, a.y, est.mu_b, inner)
     se = (var / plan.n_b) ** 0.5
     ci_plain = bootstrap_ci_plain(plan, a.y, est.mu_b, bs)
@@ -282,13 +258,15 @@ def main(argv=None) -> int:
     handlers = {"impute": cmd_impute, "estimate": cmd_estimate, "simulate": cmd_simulate}
     try:
         handlers[args.command](_config_from(args))
-    except (ParseError, SchemaMismatch, NonpositiveWeight) as err:
-        print(f"dsm: {err}", file=sys.stderr)
-        return _EXIT_SCHEMA
-    except (NonConvergence, Separation) as err:
-        print(f"dsm: {err}", file=sys.stderr)
-        return _EXIT_CONVERGENCE
-    except (DsmError, ValueError) as err:
+    except DsmError as err:
+        message = str(err)
+        column = getattr(err, "column", None)  # RankDeficient's covariate index
+        if column is not None:
+            # Name the covariate by its CSV header, as --covariates does.
+            message = message.replace(f"column {column} ", f"{args.covariates[column]!r} ", 1)
+        print(f"dsm: {message}", file=sys.stderr)
+        return err.exit_code
+    except ValueError as err:
         print(f"dsm: {err}", file=sys.stderr)
         return _EXIT_NUMERIC
     except MemoryError as err:

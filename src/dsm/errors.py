@@ -1,27 +1,31 @@
 """Exception types shared across the package.
 
-Grouped by the stage that raises them so the CLI can map families to
-distinct exit codes: input/schema problems, numeric/configuration
-problems, and fit-convergence problems.
+Grouped by the stage that raises them.  Each class declares the CLI's
+exit status for its family as `exit_code`: 2 for input/schema problems,
+3 for numeric/configuration problems, 4 for fit-convergence problems.
 """
 
 
 class DsmError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 3
 
 
 # -- input / schema -----------------------------------------------------
 
 class ParseError(DsmError):
     """A CSV cell could not be parsed; message carries file:row:column."""
+    exit_code = 2
 
 
 class SchemaMismatch(DsmError):
     """Required columns missing or inconsistent between the two samples."""
+    exit_code = 2
 
 
 class NonpositiveWeight(DsmError):
     """A design weight d_i <= 0 was supplied."""
+    exit_code = 2
 
 
 # -- numeric / configuration --------------------------------------------
@@ -84,11 +88,13 @@ class DomainError(DsmError):
 
 class NonConvergence(DsmError):
     """Iteration limit reached without meeting the gradient tolerance."""
+    exit_code = 4
 
 
 class Separation(DsmError):
     """Likelihood is unbounded: a linear combination of covariates
     perfectly separates the two samples."""
+    exit_code = 4
 
 
 # -- warnings -----------------------------------------------------------

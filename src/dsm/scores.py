@@ -12,7 +12,7 @@ two-dimensional matching space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,69 +49,58 @@ _TOL = 1e-8
 _MAX_ITER = 100
 
 
-def _as_matrix(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"covariates must be a 2-D array, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("covariates contain NaN or infinite entries")
-    return x
+@dataclass(frozen=True)
+class _Sample:
+    """Covariate rows of one sample, checked together with the per-unit
+    vector its subclass adds."""
 
+    x: np.ndarray
 
-def _as_vector(v, name) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D array, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains NaN or infinite entries")
-    return v
+    def _validate(self, field, label) -> np.ndarray:
+        x = np.asarray(self.x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ValueError(f"covariates must be a 2-D array, got shape {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("covariates contain NaN or infinite entries")
+        v = np.asarray(getattr(self, field), dtype=np.float64)
+        if v.ndim != 1:
+            raise ValueError(f"{field} must be a 1-D array, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{field} contains NaN or infinite entries")
+        if x.shape[0] != v.shape[0]:
+            raise ValueError(f"x and {field} disagree on the number of units")
+        if x.shape[0] < 1:
+            raise EmptySample(f"{label} is empty")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, field, v)
+        return v
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[0]
 
 
 @dataclass(frozen=True)
-class SampleA:
+class SampleA(_Sample):
     """Volunteer (nonprobability) sample: covariates and observed outcome."""
 
-    x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = _as_matrix(self.x)
-        y = _as_vector(self.y, "y")
-        if x.shape[0] != y.shape[0]:
-            raise ValueError("x and y disagree on the number of units")
-        if x.shape[0] < 1:
-            raise EmptySample("sample A is empty")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
+        self._validate("y", "sample A")
 
 
 @dataclass(frozen=True)
-class SampleB:
+class SampleB(_Sample):
     """Reference probability sample: covariates and design weights d_i."""
 
-    x: np.ndarray
     d: np.ndarray
 
     def __post_init__(self):
-        x = _as_matrix(self.x)
-        d = _as_vector(self.d, "d")
-        if x.shape[0] != d.shape[0]:
-            raise ValueError("x and d disagree on the number of units")
-        if x.shape[0] < 1:
-            raise EmptySample("sample B is empty")
+        d = self._validate("d", "sample B")
         if np.any(d <= 0):
             bad = int(np.argmax(d <= 0))
             raise NonpositiveWeight(f"design weight at row {bad} is {d[bad]!r}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "d", d)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
 
 
 def _expit(x):
@@ -259,7 +248,7 @@ def _newton_propensity(xa, xb, d):
             try:
                 step = np.linalg.solve(hess, grad)
             except np.linalg.LinAlgError:
-                fail("curvature matrix is singular")
+                fail(f"curvature matrix is singular; {_dominant_weight(d)}")
 
             # Step-halving: the likelihood is concave, so the Newton direction
             # ascends; halve until the objective stops decreasing.  Near the
@@ -283,6 +272,15 @@ def _newton_propensity(xa, xb, d):
                 raise Separation("coefficients diverged; the samples are separable")
 
     fail(f"no convergence in {_MAX_ITER} iterations (gradient norm {gnorm:.3g})")
+
+
+def _dominant_weight(d):
+    """Name the largest design weight, its row, and its ratio to the sum of
+    the others."""
+    top = int(np.argmax(d))
+    rest = np.delete(d, top).sum()  # without d[top], so a 1e308 weight keeps it finite
+    share = f"{d[top] / rest:.3g} times the sum of the others" if rest else "the only one"
+    return f"the largest sample-B design weight, {d[top]:g} at row {top}, is {share}"
 
 
 def fit_propensity(a: SampleA, b: SampleB) -> np.ndarray:
@@ -338,18 +336,14 @@ def fit_scores(a: SampleA, b: SampleB, cols_r=None, cols_y=None) -> ScoreFit:
     )
     theta_y = fit_prognostic(SampleA(_take_cols(a.x, cols_y), a.y))
 
+    # The pooled SDs are set below, from the fit's own scores.
+    fit = ScoreFit(theta_r, theta_y, iters, gnorm, sd_f=np.nan, sd_g=np.nan,
+                   cols_r=cols_r, cols_y=cols_y)
     pooled = np.vstack([a.x, b.x])
-    f = _expit(theta_r[0] + _take_cols(pooled, cols_r) @ theta_r[1:])
-    g = theta_y[0] + _take_cols(pooled, cols_y) @ theta_y[1:]
-    return ScoreFit(
-        theta_r=theta_r,
-        theta_y=theta_y,
-        iterations=iters,
-        grad_norm=gnorm,
-        sd_f=_pooled_sd(f, "sampling"),
-        sd_g=_pooled_sd(g, "prognostic"),
-        cols_r=cols_r,
-        cols_y=cols_y,
+    return replace(
+        fit,
+        sd_f=_pooled_sd(fit.propensity(pooled), "sampling"),
+        sd_g=_pooled_sd(fit.prognostic(pooled), "prognostic"),
     )
 
 

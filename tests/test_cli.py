@@ -15,6 +15,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import dsm.cli as cli
+import dsm.errors
 import dsm.simulation
 from dsm.cli import main
 from dsm.io import RunConfig, _read_rows, load_samples, write_csv, write_meta
@@ -429,6 +430,48 @@ def test_overflowing_weights_exit_numeric(tmp_path, capsys, cmd, weights, x1, me
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_dominant_weight_is_named(tmp_path, capsys):
+    # One 1e17 weight among weights of 2-5 leaves the curvature singular at
+    # the first Newton step; the message says which weight dominates.
+    xa, y, xb, d = _dataset(np.random.default_rng(7))
+    d[0] = 1e17
+    pa, pb = _write_pair(tmp_path, xa, y, xb, d)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(_base_args("impute", pa, pb, tmp_path / "o.csv")) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("dsm: curvature matrix is singular; ")
+    assert "design weight, 1e+17 at row 0, is " in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _error_classes(base=dsm.errors.DsmError):
+    for cls in base.__subclasses__():
+        if cls.__module__ == "dsm.errors":
+            yield cls
+            yield from _error_classes(cls)
+
+
+_PINNED_EXIT = {
+    "ParseError": 2, "SchemaMismatch": 2, "NonpositiveWeight": 2,
+    "NonConvergence": 4, "Separation": 4,
+}
+
+
+@pytest.mark.parametrize("cls", list(_error_classes()), ids=lambda cls: cls.__name__)
+def test_every_error_class_exits_with_its_pinned_status(sample_files, tmp_path, monkeypatch,
+                                                        capsys, cls):
+    def failing(config):
+        raise cls("injected")
+
+    monkeypatch.setattr(cli, "cmd_impute", failing)
+    pa, pb = sample_files
+    status = _PINNED_EXIT.get(cls.__name__, 3)
+    assert main(_base_args("impute", pa, pb, tmp_path / "o.csv")) == status
+    assert capsys.readouterr().err == "dsm: injected\n"
+    assert cls.exit_code == status
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["impute"])
@@ -780,7 +823,6 @@ def _csv_bytes(draw, required):
     return data
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     cmd=st.sampled_from(["impute", "estimate"]),

@@ -9,6 +9,7 @@ from scipy.special import expit
 import dsm.scores as dsm_scores
 from dsm import (
     DegenerateScore,
+    EmptySample,
     RankDeficient,
     SampleA,
     SampleB,
@@ -262,3 +263,22 @@ def test_sample_validation():
         SampleA(np.zeros((0, 1)), np.zeros(0))
     with pytest.raises(EmptySample, match="sample B is empty"):
         SampleB(np.zeros((0, 1)), np.zeros(0))
+
+
+@pytest.mark.parametrize("cls, field, label", [
+    (SampleA, "y", "sample A"),
+    (SampleB, "d", "sample B"),
+])
+@pytest.mark.parametrize("x, v, error, message", [
+    (np.ones(2), np.ones(2), ValueError, "covariates must be a 2-D array, got shape (2,)"),
+    (np.ones((2, 1)), np.ones((2, 1)), ValueError, "{field} must be a 1-D array, got shape (2, 1)"),
+    (np.array([[1.0], [np.nan]]), np.ones(2), ValueError, "covariates contain NaN or infinite entries"),
+    (np.ones((2, 1)), np.array([1.0, np.inf]), ValueError, "{field} contains NaN or infinite entries"),
+    (np.ones((2, 1)), np.ones(3), ValueError, "x and {field} disagree on the number of units"),
+    (np.zeros((0, 1)), np.zeros(0), EmptySample, "{label} is empty"),
+], ids=["1d-x", "2d-vector", "nan-x", "inf-vector", "length-mismatch", "zero-rows"])
+def test_sample_validation_messages(cls, field, label, x, v, error, message):
+    with pytest.raises(error) as exc:
+        cls(x, v)
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(field=field, label=label)
