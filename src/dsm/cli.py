@@ -38,6 +38,13 @@ _EXIT_NUMERIC = 3
 # --scale presets: replications and bootstrap draws.
 _SCALES = {"desk": (500, 1000), "paper": (2000, 2000)}
 
+# Point estimates in report order.  The bias-corrected estimates and their
+# bias terms, which --no-debias leaves out, are the names holding "bias".
+_ESTIMATES = (
+    "mu_b", "mu_b_debiased", "bias_hat", "mu_dsm", "mu_dsm_debiased",
+    "bias_hat_weighted", "dre", "n_hat",
+)
+
 _TABLE_MODE = {"1": "none", "2": "none", "3": "cubic", "a1": "extreme", "4": "none"}
 
 
@@ -82,28 +89,11 @@ def cmd_estimate(config: RunConfig):
     se = (var / plan.n_b) ** 0.5
     ci_plain = bootstrap_ci_plain(plan, a.y, est.mu_b, bs)
 
-    rows = [
-        ("mu_b", est.mu_b, "", ""),
-        ("mu_dsm", est.mu_dsm, "", ""),
-        ("dre", est.dre, "", ""),
-        ("n_hat", est.n_hat, "", ""),
-        ("analytic_variance", var, "", ""),
-        ("analytic_se", se, "", ""),
-        ("ci_plain", est.mu_b, ci_plain.lo, ci_plain.hi),
-    ]
-    if config.debias:
-        rows[1:1] = [
-            ("mu_b_debiased", est.mu_b_debiased, "", ""),
-            ("bias_hat", est.bias_hat, "", ""),
-        ]
-        rows[4:4] = [
-            ("mu_dsm_debiased", est.mu_dsm_debiased, "", ""),
-            ("bias_hat_weighted", est.bias_hat_weighted, "", ""),
-        ]
-        rows += [
-            ("ci_debiased", est.mu_b_debiased, ci_deb.lo, ci_deb.hi),
-            ("ci_population", est.mu_dsm_debiased, ci_pop.lo, ci_pop.hi),
-        ]
+    rows = [(name, getattr(est, name), "", "") for name in _ESTIMATES
+            if config.debias or "bias" not in name]
+    rows += [("analytic_variance", var, "", ""), ("analytic_se", se, "", "")]
+    intervals = (("ci_plain", ci_plain), ("ci_debiased", ci_deb), ("ci_population", ci_pop))
+    rows += [(name, ci.point, ci.lo, ci.hi) for name, ci in intervals if ci is not None]
     write_csv(config.out, ("quantity", "value", "lo", "hi"), rows)
 
     meta = {"seed": config.seed, **_fit_meta(config, fit, plan)}
@@ -145,10 +135,10 @@ def cmd_simulate(config: RunConfig):
         "scale": config.scale,
     }
 
+    rows = []
     if config.table == "4":
-        rows = []
-        grid = run_coverage_grid(base, COVERAGE_GRID)
-        for entry in grid:
+        header = ("m", "n_a", "n_b", "scenario", "coverage_sample_b", "coverage_population")
+        for entry in run_coverage_grid(base, COVERAGE_GRID):
             for sc, rep in entry["reports"].items():
                 rows.append(
                     (
@@ -158,31 +148,22 @@ def cmd_simulate(config: RunConfig):
                     )
                 )
                 meta[f"failed_m{entry['m']}_{entry['n_a']}_{entry['n_b']}_{sc}"] = rep.n_failed
-        write_csv(
-            config.out,
-            ("m", "n_a", "n_b", "scenario", "coverage_sample_b", "coverage_population"),
-            rows,
-        )
         meta["n_boot"] = base.n_boot
-        write_meta(config.out + ".meta", meta)
-        return
-
-    reports = run_scenario_table(base)
-    if config.table == "1":
-        target_key, names = "target_b", ("mu_b", "mu_b_debiased")
-        target_label = "sample_b_mean"
     else:
-        target_key, names = "target_pop", ("sample_a_mean", "dre", "mu_dsm", "mu_dsm_debiased")
-        target_label = "population_mean"
-
-    rows = []
-    for sc, rep in reports.items():
-        rows.append((sc, target_label, rep.target_mean(target_key), 0.0, 0.0))
-        for name in names:
-            s = rep.summary(name)
-            rows.append((sc, s.name, s.mean, s.rb_pct, s.mse))
-        meta[f"failed_{sc}"] = rep.n_failed
-    write_csv(config.out, ("scenario", "estimator", "mean", "rb_pct", "mse"), rows)
+        header = ("scenario", "estimator", "mean", "rb_pct", "mse")
+        if config.table == "1":
+            target_key, names = "target_b", ("mu_b", "mu_b_debiased")
+            target_label = "sample_b_mean"
+        else:
+            target_key, names = "target_pop", ("sample_a_mean", "dre", "mu_dsm", "mu_dsm_debiased")
+            target_label = "population_mean"
+        for sc, rep in run_scenario_table(base).items():
+            rows.append((sc, target_label, rep.target_mean(target_key), 0.0, 0.0))
+            for name in names:
+                s = rep.summary(name)
+                rows.append((sc, s.name, s.mean, s.rb_pct, s.mse))
+            meta[f"failed_{sc}"] = rep.n_failed
+    write_csv(config.out, header, rows)
     write_meta(config.out + ".meta", meta)
 
 

@@ -16,6 +16,7 @@ covariates), so even T-labeled models can see a wrong functional form.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -172,8 +173,6 @@ def calibrate_theta0(x, target_n_a: float) -> float:
         e_lo, e_hi = excess(lo), excess(hi)
     else:
         raise BracketFailure(f"target size {target_n_a} cannot be bracketed")
-    if not e_lo <= 0.0 <= e_hi:
-        raise BracketFailure(f"target size {target_n_a} is infeasible for this population")
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -357,14 +356,7 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
         except DsmError as err:
             results[scenario] = ("fail", type(err).__name__)
             continue
-        out = dict(
-            shared,
-            mu_b=est.mu_b,
-            mu_b_debiased=est.mu_b_debiased,
-            mu_dsm=est.mu_dsm,
-            mu_dsm_debiased=est.mu_dsm_debiased,
-            dre=est.dre,
-        )
+        out = dict(shared, **{k: getattr(est, k) for k in _TARGET_OF if k not in shared})
         if bs is not None:
             out["cover_b"] = float(ci_b.lo < out["target_b"] < ci_b.hi)
             out["cover_pop"] = float(ci_p.lo < out["target_pop"] < ci_p.hi)
@@ -437,7 +429,8 @@ def _report(results) -> SimReport:
     ok = [payload for status, payload in results if status == "ok"]
     failures = tuple(payload for status, payload in results if status != "ok")
     if not ok:
-        raise DsmError("every replication failed; nothing to aggregate")
+        reasons = ", ".join(f"{name}: {n}" for name, n in Counter(failures).items())
+        raise DsmError(f"every replication failed ({reasons}); nothing to aggregate")
 
     keys = ok[0].keys()
     series = {k: np.array([r[k] for r in ok]) for k in keys}

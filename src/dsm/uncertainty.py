@@ -62,6 +62,8 @@ class BootstrapSpec:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.seed >= 2**128:
+            raise ValueError("seed must be below 2**128, the range of the Philox key")
 
 
 @dataclass(frozen=True)
@@ -192,8 +194,7 @@ def _centered_draws(spec: BootstrapSpec, resid, norm):
 
 
 def _interval(point: float, draws: np.ndarray, alpha: float) -> IntervalReport:
-    q_lo = float(np.quantile(draws, alpha / 2.0))
-    q_hi = float(np.quantile(draws, 1.0 - alpha / 2.0))
+    q_lo, q_hi = (float(q) for q in np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0]))
     return IntervalReport(
         point=point, lo=point - q_hi, hi=point - q_lo, q_lo=q_lo, q_hi=q_hi, draws=draws
     )

@@ -320,6 +320,17 @@ def test_negative_seed_exits_numeric(sample_files, tmp_path):
     assert main(args) == 3
 
 
+def test_seed_beyond_bootstrap_key_range_exits_before_loading(sample_files, tmp_path, monkeypatch,
+                                                              capsys):
+    monkeypatch.setattr(cli, "load_samples", _never_called)
+    pa, pb = sample_files
+    out = tmp_path / "o.csv"
+    assert main(_base_args("estimate", pa, pb, out, seed=2**128)) == 3
+    assert capsys.readouterr().err == (
+        "dsm: seed must be below 2**128, the range of the Philox key\n")
+    assert not out.exists()
+
+
 def test_impute_takes_no_seed(sample_files, tmp_path):
     # impute draws nothing at random, so it has no --seed to set.
     pa, pb = sample_files
@@ -729,6 +740,15 @@ def test_simulate_coverage_table_rejects_m(tmp_path, capsys):
     code = main(["simulate", "--table", "4", "--m", "5", "--reps", "1", "--out", str(out)])
     assert code == 3
     assert "coverage grid fixes m per row" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_all_failed_names_the_failures(tmp_path, capsys):
+    # m=600 exceeds every volunteer sample of about 500 units.
+    out = tmp_path / "t2.csv"
+    assert main(["simulate", "--table", "2", "--reps", "2", "--m", "600", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "dsm: every replication failed (MTooLarge: 2); nothing to aggregate\n")
     assert not out.exists()
 
 

@@ -396,3 +396,12 @@ def test_bootstrap_spec_validation():
         BootstrapSpec(alpha=1.0)
     with pytest.raises(ValueError):
         BootstrapSpec(seed=-1)
+    with pytest.raises(ValueError, match=r"below 2\*\*128"):
+        BootstrapSpec(seed=2**128)
+
+
+def test_largest_seed_still_draws():
+    y = np.arange(4.0)
+    plan = plan_from([[0, 1], [2, 3]], n_a=4)
+    report = bootstrap_ci_plain(plan, y, 1.5, BootstrapSpec(n_draws=20, seed=2**128 - 1))
+    assert report.draws.shape == (20,) and np.all(np.isfinite(report.draws))
