@@ -16,7 +16,6 @@ import argparse
 import errno
 import os
 import sys
-from dataclasses import fields
 
 from . import __version__
 from .errors import DsmError
@@ -48,9 +47,9 @@ _ESTIMATES = (
 _TABLE_MODE = {"1": "none", "2": "none", "3": "cubic", "a1": "extreme", "4": "none"}
 
 
-def _fit_meta(config: RunConfig, fit, plan):
+def _fit_meta(args, fit, plan):
     return {
-        "m": config.m,
+        "m": args.m,
         "n_a": plan.n_a,
         "n_b": plan.n_b,
         "newton_iterations": fit.iterations,
@@ -60,83 +59,86 @@ def _fit_meta(config: RunConfig, fit, plan):
     }
 
 
-def cmd_impute(config: RunConfig):
+def _load(args):
+    return load_samples(args.sample_a, args.sample_b,
+                        RunConfig(args.outcome, args.weight, args.covariates))
+
+
+def cmd_impute(args):
     """Write one row per sample-B unit: covariates, weight, imputed
     outcome, and both fitted scores."""
-    a, b = load_samples(config.sample_a, config.sample_b, config)
+    a, b = _load(args)
     fit = fit_scores(a, b)
-    plan = find_matches(build_score_matrix(a, b, fit), config.m, d_b=b.d)
+    plan = find_matches(build_score_matrix(a, b, fit), args.m, d_b=b.d)
     yhat = impute(plan, a.y)
     f_b = fit.propensity(b.x)
     g_b = fit.prognostic(b.x)
 
-    header = list(config.covariates) + [config.weight, "y_hat", "sampling_score", "prognostic_score"]
+    header = list(args.covariates) + [args.weight, "y_hat", "sampling_score", "prognostic_score"]
     rows = [list(b.x[i]) + [b.d[i], yhat[i], f_b[i], g_b[i]] for i in range(b.n)]
-    write_csv(config.out, header, rows)
-    write_meta(config.out + ".meta", _fit_meta(config, fit, plan))
+    write_csv(args.out, header, rows)
+    write_meta(args.out + ".meta", _fit_meta(args, fit, plan))
 
 
-def cmd_estimate(config: RunConfig):
+def cmd_estimate(args):
     """Write the full estimate report: point estimates, analytic
     variance, and percentile-inverted bootstrap intervals."""
-    bs = BootstrapSpec(n_draws=config.n_boot, alpha=config.alpha, seed=config.seed)
+    bs = BootstrapSpec(n_draws=args.n_boot, alpha=args.alpha, seed=args.seed)
     _worker_count()  # a bad DSM_THREADS fails before any CSV is read
-    a, b = load_samples(config.sample_a, config.sample_b, config)
-    j = config.j if config.j is not None else 2 * config.m
+    a, b = _load(args)
+    j = args.j if args.j is not None else 2 * args.m
     fit, plan, inner, est, ci_deb, ci_pop = _analyse(
-        a, b, config.m, bs if config.debias else None, j=j)
+        a, b, args.m, bs if args.debias else None, j=j)
     var = analytic_variance(plan, a.y, est.mu_b, inner)
     se = (var / plan.n_b) ** 0.5
     ci_plain = bootstrap_ci_plain(plan, a.y, est.mu_b, bs)
 
     rows = [(name, getattr(est, name), "", "") for name in _ESTIMATES
-            if config.debias or "bias" not in name]
+            if args.debias or "bias" not in name]
     rows += [("analytic_variance", var, "", ""), ("analytic_se", se, "", "")]
     intervals = (("ci_plain", ci_plain), ("ci_debiased", ci_deb), ("ci_population", ci_pop))
     rows += [(name, ci.point, ci.lo, ci.hi) for name, ci in intervals if ci is not None]
-    write_csv(config.out, ("quantity", "value", "lo", "hi"), rows)
+    write_csv(args.out, ("quantity", "value", "lo", "hi"), rows)
 
-    meta = {"seed": config.seed, **_fit_meta(config, fit, plan)}
-    meta.update(j=j, n_boot=config.n_boot, alpha=config.alpha, debias=str(config.debias).lower())
-    write_meta(config.out + ".meta", meta)
+    meta = {"seed": args.seed, **_fit_meta(args, fit, plan)}
+    meta.update(j=j, n_boot=args.n_boot, alpha=args.alpha, debias=str(args.debias).lower())
+    write_meta(args.out + ".meta", meta)
 
 
-def _simulate_base(config: RunConfig) -> ScenarioSpec:
-    if config.table == "4" and config.m is not None:
+def _simulate_base(args) -> ScenarioSpec:
+    if args.table == "4" and args.m is not None:
         raise ValueError("--m does not apply to table 4: the coverage grid fixes m per row")
-    if config.table != "4" and config.n_boot is not None:
+    if args.table != "4" and args.n_boot is not None:
         raise ValueError("--bootstrap applies to table 4 only: the other tables build no intervals")
-    reps, boot = _SCALES[config.scale]
-    if config.reps is not None:
-        reps = config.reps
-    if config.n_boot is not None:
-        boot = config.n_boot
+    if args.table == "4" and args.n_boot == 0:
+        raise ValueError("--bootstrap must be at least 2 for table 4: its coverage needs intervals")
+    reps, boot = _SCALES[args.scale]
     return ScenarioSpec(
-        nonlinearity=_TABLE_MODE[config.table],
-        m=ScenarioSpec.m if config.m is None else config.m,
-        n_reps=reps,
-        n_boot=boot if config.table == "4" else 0,
-        seed=config.seed,
+        nonlinearity=_TABLE_MODE[args.table],
+        m=ScenarioSpec.m if args.m is None else args.m,
+        n_reps=reps if args.reps is None else args.reps,
+        n_boot=0 if args.table != "4" else (boot if args.n_boot is None else args.n_boot),
+        seed=args.seed,
     )
 
 
-def cmd_simulate(config: RunConfig):
+def cmd_simulate(args):
     """Rerun a study table and write its rows.
 
     Tables 1/2 use the linear population (sample-B-mean and
     population-mean views), 3 the squared/cubed covariate distortion,
     a1 the fractional-exponent distortion, 4 the interval-coverage grid.
     """
-    base = _simulate_base(config)
+    base = _simulate_base(args)
     meta = {
-        "table": config.table,
-        "seed": config.seed,
+        "table": args.table,
+        "seed": args.seed,
         "reps": base.n_reps,
-        "scale": config.scale,
+        "scale": args.scale,
     }
 
     rows = []
-    if config.table == "4":
+    if args.table == "4":
         header = ("m", "n_a", "n_b", "scenario", "coverage_sample_b", "coverage_population")
         for entry in run_coverage_grid(base, COVERAGE_GRID):
             for sc, rep in entry["reports"].items():
@@ -151,7 +153,7 @@ def cmd_simulate(config: RunConfig):
         meta["n_boot"] = base.n_boot
     else:
         header = ("scenario", "estimator", "mean", "rb_pct", "mse")
-        if config.table == "1":
+        if args.table == "1":
             target_key, names = "target_b", ("mu_b", "mu_b_debiased")
             target_label = "sample_b_mean"
         else:
@@ -163,8 +165,8 @@ def cmd_simulate(config: RunConfig):
                 s = rep.summary(name)
                 rows.append((sc, s.name, s.mean, s.rb_pct, s.mse))
             meta[f"failed_{sc}"] = rep.n_failed
-    write_csv(config.out, header, rows)
-    write_meta(config.out + ".meta", meta)
+    write_csv(args.out, header, rows)
+    write_meta(args.out + ".meta", meta)
 
 
 def _column_list(text: str) -> tuple:
@@ -182,63 +184,63 @@ def build_parser() -> argparse.ArgumentParser:
     def add_data_args(p):
         p.add_argument("--sample-a", required=True, help="volunteer sample CSV")
         p.add_argument("--sample-b", required=True, help="reference sample CSV")
-        p.add_argument("--outcome", help="outcome column in sample A")
-        p.add_argument("--weight", help="design-weight column in sample B")
+        p.add_argument("--outcome", default=RunConfig.outcome,
+                       help="outcome column in sample A (default %(default)s)")
+        p.add_argument("--weight", default=RunConfig.weight,
+                       help="design-weight column in sample B (default %(default)s)")
         p.add_argument(
             "--covariates", required=True, type=_column_list,
             help="comma-separated covariate column names, shared by both files",
         )
-        p.add_argument("--m", type=int, help="matches per unit")
+        p.add_argument("--m", type=int, default=ScenarioSpec.m,
+                       help="matches per unit (default %(default)s)")
         p.add_argument("--out", required=True, help="output CSV path")
 
-    # Each dest is a RunConfig field.  An option left unset is left out of
-    # the namespace, so RunConfig's default applies.
-    no_defaults = {"argument_default": argparse.SUPPRESS}
-    p_imp = sub.add_parser(
-        "impute", help="write matched-donor imputations for sample B", **no_defaults)
+    p_imp = sub.add_parser("impute", help="write matched-donor imputations for sample B")
     add_data_args(p_imp)
 
-    p_est = sub.add_parser("estimate", help="write point estimates and intervals", **no_defaults)
+    p_est = sub.add_parser("estimate", help="write point estimates and intervals")
     add_data_args(p_est)
     p_est.add_argument("--j", type=int, help="inner neighbors (default 2*m)")
+    p_est.add_argument("--bootstrap", dest="n_boot", type=int, default=BootstrapSpec.n_draws,
+                       help="bootstrap replicates (default %(default)s)")
+    p_est.add_argument("--alpha", type=float, default=BootstrapSpec.alpha,
+                       help="interval miscoverage level (default %(default)s)")
     p_est.add_argument(
-        "--bootstrap", dest="n_boot", type=int, default=2000, help="bootstrap replicates",
-    )
-    p_est.add_argument("--alpha", type=float, help="interval miscoverage level")
-    p_est.add_argument(
-        "--debias", action=argparse.BooleanOptionalAction,
+        "--debias", action=argparse.BooleanOptionalAction, default=True,
         help="include bias-corrected estimates and their intervals",
     )
-    p_est.add_argument("--seed", type=int, help="bootstrap seed")
+    p_est.add_argument("--seed", type=int, default=BootstrapSpec.seed,
+                       help="bootstrap seed (default %(default)s)")
 
-    p_sim = sub.add_parser("simulate", help="rerun a built-in study table", **no_defaults)
+    # --m and --bootstrap stay None when not given, so misuse can be told
+    # apart from a default.
+    p_sim = sub.add_parser("simulate", help="rerun a built-in study table")
     p_sim.add_argument("--table", required=True, choices=("1", "2", "3", "4", "a1"))
-    p_sim.add_argument("--reps", type=int, help="override replication count")
-    p_sim.add_argument("--bootstrap", dest="n_boot", type=int, help="bootstrap replicates (table 4)")
-    p_sim.add_argument("--m", type=int, default=None, help="matches per unit (tables 1-3, a1)")
-    p_sim.add_argument("--seed", type=int, help="replication seed")
-    p_sim.add_argument("--scale", choices=tuple(_SCALES), help="replication preset")
+    p_sim.add_argument("--reps", type=int, help="override the preset's replication count")
+    p_sim.add_argument("--bootstrap", dest="n_boot", type=int,
+                       help="override the preset's bootstrap replicates (table 4)")
+    p_sim.add_argument("--m", type=int,
+                       help=f"matches per unit (tables 1-3, a1; default {ScenarioSpec.m})")
+    p_sim.add_argument("--seed", type=int, default=ScenarioSpec.seed,
+                       help="replication seed (default %(default)s)")
+    p_sim.add_argument("--scale", choices=tuple(_SCALES), default="desk",
+                       help="replication preset (default %(default)s)")
     p_sim.add_argument("--out", required=True, help="output CSV path")
     return parser
-
-
-def _config_from(args) -> RunConfig:
-    names = {f.name for f in fields(RunConfig)}
-    cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in names})
-    if cfg.seed < 0:
-        raise ValueError("seed must be nonnegative")
-    # Checked before any work, so a run cannot finish with nowhere to write.
-    out_dir = os.path.dirname(cfg.out) or "."
-    if not os.path.isdir(out_dir):
-        raise FileNotFoundError(errno.ENOENT, "no such directory", out_dir)
-    return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"impute": cmd_impute, "estimate": cmd_estimate, "simulate": cmd_simulate}
     try:
-        handlers[args.command](_config_from(args))
+        if getattr(args, "seed", 0) < 0:  # impute has no seed
+            raise ValueError("seed must be nonnegative")
+        # Checked before any work, so a run cannot finish with nowhere to write.
+        out_dir = os.path.dirname(args.out) or "."
+        if not os.path.isdir(out_dir):
+            raise FileNotFoundError(errno.ENOENT, "no such directory", out_dir)
+        handlers[args.command](args)
     except DsmError as err:
         message = str(err)
         column = getattr(err, "column", None)  # RankDeficient's covariate index

@@ -22,23 +22,13 @@ __all__ = ["RunConfig", "load_samples", "write_csv", "write_meta"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one CLI invocation needs."""
+    """The column roles `load_samples` reads: the outcome column of sample
+    A, the weight column of sample B, and the covariates both share.  The
+    CLI's --outcome and --weight take their defaults from here."""
 
-    sample_a: str | None = None
-    sample_b: str | None = None
     outcome: str = "y"
     weight: str = "d"
     covariates: tuple = ()
-    m: int = 3
-    j: int | None = None
-    n_boot: int | None = None
-    alpha: float = 0.05
-    seed: int = 0
-    debias: bool = True
-    out: str = "out.csv"
-    table: str | None = None
-    reps: int | None = None
-    scale: str = "desk"
 
 
 def _read_rows(path):

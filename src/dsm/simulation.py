@@ -424,13 +424,15 @@ class SimReport:
         )
 
 
-def _report(results) -> SimReport:
+def _report(results, scenario: str, spec: ScenarioSpec) -> SimReport:
     """One scenario's SimReport from its results in replication order."""
     ok = [payload for status, payload in results if status == "ok"]
     failures = tuple(payload for status, payload in results if status != "ok")
     if not ok:
         reasons = ", ".join(f"{name}: {n}" for name, n in Counter(failures).items())
-        raise DsmError(f"every replication failed ({reasons}); nothing to aggregate")
+        raise DsmError(
+            f"scenario {scenario} at m={spec.m}, n_a={spec.n_a}, n_b={spec.n_b}: "
+            f"every replication failed ({reasons}); nothing to aggregate")
 
     keys = ok[0].keys()
     series = {k: np.array([r[k] for r in ok]) for k in keys}
@@ -469,7 +471,7 @@ def run_scenario_table(base: ScenarioSpec, scenarios=SCENARIOS) -> dict:
             results = list(pool.map(_replicate, repeat(base), repeat(names), reps, chunksize=chunk))
     else:
         results = [_replicate(base, names, s) for s in reps]
-    return {sc: _report([r[sc] for r in results]) for sc in names}
+    return {sc: _report([r[sc] for r in results], sc, base) for sc in names}
 
 
 def run_monte_carlo(spec: ScenarioSpec, scenario: str = "TT") -> SimReport:

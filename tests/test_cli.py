@@ -569,6 +569,20 @@ def test_estimate_report_layout(sample_files, tmp_path):
     assert meta["debias"] == "true"
 
 
+def test_unset_options_take_their_documented_defaults(sample_files, tmp_path):
+    pa, pb = sample_files
+    out = tmp_path / "est.csv"
+    assert main(_base_args("estimate", pa, pb, out)) == 0
+    meta = _read_meta(str(out) + ".meta")
+    assert {k: meta[k] for k in ("seed", "m", "j", "n_boot", "alpha", "debias")} == {
+        "seed": "0", "m": "3", "j": "6", "n_boot": "2000", "alpha": "0.05", "debias": "true"}
+
+    out = tmp_path / "t1.csv"
+    assert main(["simulate", "--table", "1", "--reps", "1", "--out", str(out)]) == 0
+    meta = _read_meta(str(out) + ".meta")
+    assert (meta["scale"], meta["seed"]) == ("desk", "0")
+
+
 def test_estimate_matches_library_exactly(sample_files, tmp_path):
     from dsm.estimators import point_estimates
     from dsm.matching import find_inner_neighbors, find_matches
@@ -748,7 +762,8 @@ def test_simulate_all_failed_names_the_failures(tmp_path, capsys):
     out = tmp_path / "t2.csv"
     assert main(["simulate", "--table", "2", "--reps", "2", "--m", "600", "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
-        "dsm: every replication failed (MTooLarge: 2); nothing to aggregate\n")
+        "dsm: scenario TT at m=600, n_a=500, n_b=1000: "
+        "every replication failed (MTooLarge: 2); nothing to aggregate\n")
     assert not out.exists()
 
 
@@ -757,6 +772,8 @@ def test_simulate_all_failed_names_the_failures(tmp_path, capsys):
     pytest.param(["--table", "2", "--bootstrap", "500"], id="table2"),
     # One draw has no spread; rejected before any population is drawn.
     pytest.param(["--table", "4", "--bootstrap", "1"], id="one_draw"),
+    # Coverage needs intervals; no draws would leave every coverage empty.
+    pytest.param(["--table", "4", "--bootstrap", "0"], id="no_draws"),
 ])
 def test_simulate_bootstrap_misuse_exits_numeric(tmp_path, monkeypatch, capsys, args):
     monkeypatch.setattr(cli, "run_scenario_table", _never_called)

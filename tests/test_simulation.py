@@ -491,6 +491,18 @@ def test_empty_volunteer_sample_fails_its_replication():
         run_scenario_table(spec)
 
 
+def test_coverage_grid_failure_names_its_row(monkeypatch):
+    # The grid has no try/except of its own: the all-failed error from the
+    # row's table run names the scenario and the row's sizes.
+    monkeypatch.setattr(sim, "_replicate",
+                        lambda spec, names, s: {sc: ("fail", "MTooLarge") for sc in names})
+    with pytest.raises(DsmError) as err:
+        sim.run_coverage_grid(ScenarioSpec(n_reps=1, n_boot=20), ((4, 300, 600),))
+    assert str(err.value) == (
+        "scenario TT at m=4, n_a=300, n_b=600: "
+        "every replication failed (MTooLarge: 1); nothing to aggregate")
+
+
 def test_scenario_table_shares_replication_data():
     # One seed drives every scenario: the targets are identical series,
     # so scenario columns differ only through the model views.
