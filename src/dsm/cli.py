@@ -110,8 +110,11 @@ def _simulate_base(args) -> ScenarioSpec:
         raise ValueError("--m does not apply to table 4: the coverage grid fixes m per row")
     if args.table != "4" and args.n_boot is not None:
         raise ValueError("--bootstrap applies to table 4 only: the other tables build no intervals")
-    if args.table == "4" and args.n_boot == 0:
+    if args.table == "4" and args.n_boot is not None and args.n_boot < 2:
         raise ValueError("--bootstrap must be at least 2 for table 4: its coverage needs intervals")
+    for option, value in (("--reps", args.reps), ("--m", args.m)):
+        if value is not None and value < 1:
+            raise ValueError(f"{option} must be at least 1, got {value}")
     reps, boot = _SCALES[args.scale]
     return ScenarioSpec(
         nonlinearity=_TABLE_MODE[args.table],

@@ -159,10 +159,58 @@ def calibrate_sigma(linear_predictor, rho: float) -> float:
 def calibrate_theta0(x, target_n_a: float) -> float:
     """Selection intercept making the expected volunteer-sample size hit
     target_n_a, by bisection on the monotone size function."""
+    return _calibrate_theta0(x, target_n_a)[0]
+
+
+def _calibrate_theta0(x, target_n_a: float):
+    """calibrate_theta0's intercept and the selection probabilities at it.
+
+    Plain bisection, except that a midpoint whose side an earlier sweep
+    proves is not swept.  A swept excess lies within err of the exact
+    excess at the rounded arguments (a few ulps per expit plus pairwise
+    summation), and the exact excess never decreases in t.  While
+    4 * err <= tol, a swept excess below -2 * tol at t proves one below
+    -tol at every point left of t, and one above 2 * tol proves one above
+    tol at every point right of t.  Newton steps from a logit start, then
+    one probe each side of their root, supply such sweeps; they never
+    decide the result, so a poor step costs sweeps only.
+    """
     base = np.asarray(x, dtype=np.float64) @ _SELECTION_SLOPES
+    n, tol = base.shape[0], _CALIBRATION_TOL
+    err = n * 2.0**-52 * (16.0 + np.log2(n + 1.0))
+    proof = 2.0 * tol if 4.0 * err <= tol else np.inf
+    below, above, f = -np.inf, np.inf, None
+
+    def sweep(t):
+        nonlocal below, above, f
+        f = _expit(t + base)
+        e = float(f.sum()) - target_n_a
+        if e < -proof:
+            below = max(below, t)
+        elif e > proof:
+            above = min(above, t)
+        return e
 
     def excess(t):
-        return float(_expit(t + base).sum()) - target_n_a
+        if t <= below:
+            return -np.inf
+        if t >= above:
+            return np.inf
+        return sweep(t)
+
+    if proof < np.inf and np.isfinite(base).all():
+        ok = 0 < target_n_a < n
+        t = float(np.log(target_n_a / (n - target_n_a)) - base.mean()) if ok else 0.0
+        for _ in range(8):
+            e = sweep(t)
+            slope = float((f * (1.0 - f)).sum())
+            if not slope > 0.0:
+                break
+            t -= e / slope
+            if abs(e) < 0.01:
+                sweep(t - 3.0 * tol / slope)
+                sweep(t + 3.0 * tol / slope)
+                break
 
     lo, hi = -40.0, 40.0
     e_lo, e_hi = excess(lo), excess(hi)
@@ -177,8 +225,8 @@ def calibrate_theta0(x, target_n_a: float) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         e_mid = excess(mid)
-        if abs(e_mid) <= _CALIBRATION_TOL:
-            return mid
+        if abs(e_mid) <= tol:
+            return mid, f
         if e_mid < 0.0:
             lo = mid
         else:
@@ -241,8 +289,7 @@ def gen_population(spec: ScenarioSpec, rng) -> PopulationFrame:
     sigma = calibrate_sigma(cond_mean, spec.rho)
     y = cond_mean + sigma * rng.standard_normal(n)
 
-    theta0 = calibrate_theta0(x, spec.n_a)
-    pi_a = _expit(theta0 + x @ _SELECTION_SLOPES)
+    _, pi_a = _calibrate_theta0(x, spec.n_a)
     c_pps, pi_b = calibrate_pps(x3, spec.n_b)
     return PopulationFrame(x=x, y=y, cond_mean=cond_mean, pi_a=pi_a, pi_b=pi_b, c_pps=c_pps)
 

@@ -784,6 +784,23 @@ def test_simulate_bootstrap_misuse_exits_numeric(tmp_path, monkeypatch, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--table", "2", "--reps", "0"], "--reps must be at least 1, got 0"),
+    (["--table", "4", "--reps", "-3"], "--reps must be at least 1, got -3"),
+    (["--table", "1", "--reps", "2", "--m", "0"], "--m must be at least 1, got 0"),
+    (["--table", "4", "--reps", "2", "--bootstrap", "-1"],
+     "--bootstrap must be at least 2 for table 4: its coverage needs intervals"),
+], ids=["reps_zero", "reps_negative_table4", "m_zero", "bootstrap_negative_table4"])
+def test_simulate_range_errors_name_the_option(tmp_path, monkeypatch, capsys, args, message):
+    # run_coverage_grid calls the library's run_scenario_table.
+    monkeypatch.setattr(cli, "run_scenario_table", _never_called)
+    monkeypatch.setattr(dsm.simulation, "run_scenario_table", _never_called)
+    out = tmp_path / "t.csv"
+    assert main(["simulate", *args, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"dsm: {message}\n"
+    assert not out.exists()
+
+
 def test_simulate_non_integer_threads_exits_numeric(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DSM_THREADS", "two")
     out = tmp_path / "t1.csv"

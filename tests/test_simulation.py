@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import dsm.simulation as sim
 import dsm.uncertainty as unc
 from dsm import (
+    NONLINEARITY_MODES,
     BracketFailure,
     DomainError,
     DsmError,
@@ -84,6 +85,108 @@ def test_theta0_infeasible_target():
     x = np.zeros((10, 4))
     with pytest.raises(BracketFailure):
         calibrate_theta0(x, 15.0)
+
+
+def _plain_bisection(x, target):
+    """Oracle: calibrate_theta0 sweeping every bisection point."""
+    base = np.asarray(x, dtype=np.float64) @ sim._SELECTION_SLOPES
+
+    def excess(t):
+        return float(sim._expit(t + base).sum()) - target
+
+    lo, hi = -40.0, 40.0
+    e_lo, e_hi = excess(lo), excess(hi)
+    for _ in range(20):
+        if e_lo <= 0.0 <= e_hi:
+            break
+        lo, hi = lo * 2.0, hi * 2.0
+        e_lo, e_hi = excess(lo), excess(hi)
+    else:
+        raise BracketFailure(f"target size {target} cannot be bracketed")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        e_mid = excess(mid)
+        if abs(e_mid) <= sim._CALIBRATION_TOL:
+            return mid
+        if e_mid < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise BracketFailure("bisection failed to reach tolerance")
+
+
+def _outcome(calibrate, x, target):
+    try:
+        return np.float64(calibrate(x, target)).tobytes()
+    except BracketFailure as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("nonlinearity", NONLINEARITY_MODES)
+def test_theta0_bit_equal_to_plain_bisection(nonlinearity):
+    # Cubed or scaled covariates put the root beyond [-40, 40], so the
+    # bracket doubles; scaled by 1e6 the size function is nearly a step.
+    x = gen_population(ScenarioSpec(), np.random.default_rng(11)).x
+    view = observed_covariates(x, nonlinearity)
+    for scale in (1.0, 1e3, 1e6):
+        for n_a in (100, 500, 1000, 3000, 9000):
+            xs = view * scale
+            assert _outcome(calibrate_theta0, xs, n_a) == _outcome(_plain_bisection, xs, n_a)
+
+
+@pytest.mark.parametrize("x, target", [
+    pytest.param(np.zeros((10, 4)), 15.0, id="infeasible"),
+    pytest.param(np.zeros((10, 4)), 10.0 * 1e-20, id="root_below_minus_40"),
+    # 8000 equal units step the size by more than the tolerance per ulp.
+    pytest.param(np.tile([0.0, 0.0, 0.0, 5e7], (8000, 1)), 4000.3, id="no_tolerance"),
+    pytest.param(np.tile([0.0, 0.0, 0.0, 5e8], (50, 1)), 25.3, id="beyond_doubling"),
+    # Infinite linear predictors sweep fine but give no Newton start.
+    pytest.param(np.vstack([np.zeros((8, 4)), np.full((1, 4), np.inf), np.full((1, 4), -np.inf)]),
+                 3.0, id="infinite_covariates"),
+])
+def test_theta0_failures_and_edges_match_plain_bisection(x, target):
+    assert _outcome(calibrate_theta0, x, target) == _outcome(_plain_bisection, x, target)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Record one entry per expit sweep of the simulation module."""
+    calls, expit = [], sim._expit
+
+    def counted(t):
+        calls.append(1)
+        return expit(t)
+
+    monkeypatch.setattr(sim, "_expit", counted)
+    return calls
+
+
+def test_theta0_sweeps_and_population_reuses_the_last(sweeps):
+    # Plain bisection takes about 37 sweeps here; skipping proven
+    # decisions takes about 8.
+    spec = ScenarioSpec(nonlinearity="none", n_a=500, n_b=1000)
+    for s in range(5):
+        x = gen_population(spec, np.random.default_rng([spec.seed, s])).x
+        sweeps.clear()
+        theta0 = calibrate_theta0(x, spec.n_a)
+        n_sweeps = len(sweeps)
+        sweeps.clear()
+        pop = gen_population(spec, np.random.default_rng([spec.seed, s]))
+        assert n_sweeps <= 15
+        assert len(sweeps) <= n_sweeps
+        assert np.array_equal(pop.pi_a, sim._expit(theta0 + x @ sim._SELECTION_SLOPES))
+
+
+def test_theta0_sweeps_every_midpoint_without_a_proof_margin(monkeypatch, sweeps):
+    # At a 1e-10 tolerance the rounding bound of a 20000-unit sweep exceeds
+    # a quarter of it, so no sweep may decide another point.
+    monkeypatch.setattr(sim, "_CALIBRATION_TOL", 1e-10)
+    x = gen_population(ScenarioSpec(), np.random.default_rng(11)).x
+    outcomes = []
+    for calibrate in (calibrate_theta0, _plain_bisection):
+        sweeps.clear()
+        outcomes.append((_outcome(calibrate, x, 500), len(sweeps)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_pps_closed_form_shift():
