@@ -71,8 +71,7 @@ def cmd_impute(args):
     fit = fit_scores(a, b)
     plan = find_matches(build_score_matrix(a, b, fit), args.m, d_b=b.d)
     yhat = impute(plan, a.y)
-    f_b = fit.propensity(b.x)
-    g_b = fit.prognostic(b.x)
+    f_b, g_b = fit.f[a.n :], fit.g[a.n :]
 
     header = list(args.covariates) + [args.weight, "y_hat", "sampling_score", "prognostic_score"]
     rows = [list(b.x[i]) + [b.d[i], yhat[i], f_b[i], g_b[i]] for i in range(b.n)]

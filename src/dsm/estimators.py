@@ -53,9 +53,8 @@ def point_estimates(plan: MatchPlan, fit: ScoreFit, a: SampleA, b: SampleB) -> P
     d).  It warns when a fitted propensity drops below 1e-6, since the
     residual term then rests on a handful of units.
     """
-    g_a = fit.prognostic(a.x)
-    g_b = fit.prognostic(b.x)
-    f_a = fit.propensity(a.x)
+    f, g = fit._scores(a, b)
+    f_a, g_a, g_b = f[: a.n], g[: a.n], g[a.n :]
     if np.min(f_a) < _PROPENSITY_FLOOR:
         warnings.warn(
             f"minimum fitted propensity {np.min(f_a):.3g} is below "

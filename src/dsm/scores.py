@@ -12,7 +12,7 @@ two-dimensional matching space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,22 +111,30 @@ def _expit(x):
     return expit(x)
 
 
-def _take_cols(x: np.ndarray, cols) -> np.ndarray:
-    if cols is None:
-        return x
-    return x[:, list(cols)]
+def _take_cols(x, cols) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    return x if cols is None else x[:, list(cols)]
+
+
+def _linear(theta, x) -> np.ndarray:
+    """The linear predictor of intercept-first coefficients theta, row by row."""
+    return theta[0] + x @ theta[1:]
 
 
 @dataclass(frozen=True)
 class ScoreFit:
-    """Fitted score models plus diagnostics.
+    """Fitted score models, their scores on the samples they were fitted
+    on, and diagnostics.
 
     theta_r / theta_y hold intercept-first coefficients on the original
     covariate scale for the propensity and prognostic models; cols_r /
     cols_y record which covariate columns each model used (None = all).
-    sd_f / sd_g are the pooled standard deviations used to normalize the
-    score columns.  fit_scores raises when the propensity fit does not
-    converge, so every fit it returns is a converged one.
+    f / g are the fitted scores of the pooled rows, sample A first, and
+    sd_f / sd_g their standard deviations, which normalize the score
+    columns.  build_score_matrix, point_estimates and the intervals read
+    f and g, so they need the samples the fit was made on; propensity and
+    prognostic score other rows.  fit_scores raises when the propensity
+    fit does not converge, so every fit it returns is a converged one.
     """
 
     theta_r: np.ndarray
@@ -135,18 +143,25 @@ class ScoreFit:
     grad_norm: float
     sd_f: float
     sd_g: float
+    f: np.ndarray
+    g: np.ndarray
     cols_r: tuple | None = None
     cols_y: tuple | None = None
 
     def propensity(self, x) -> np.ndarray:
         """Fitted sampling score f(x) for each row of x (full covariate set)."""
-        x = _take_cols(np.asarray(x, dtype=np.float64), self.cols_r)
-        return _expit(self.theta_r[0] + x @ self.theta_r[1:])
+        return _expit(_linear(self.theta_r, _take_cols(x, self.cols_r)))
 
     def prognostic(self, x) -> np.ndarray:
         """Fitted outcome-model prediction g(x) for each row of x."""
-        x = _take_cols(np.asarray(x, dtype=np.float64), self.cols_y)
-        return self.theta_y[0] + x @ self.theta_y[1:]
+        return _linear(self.theta_y, _take_cols(x, self.cols_y))
+
+    def _scores(self, a, b):
+        """(f, g), checked to hold one score per pooled row of a and b."""
+        if not len(self.f) == len(self.g) == a.n + b.n:
+            raise ValueError(f"the fit holds scores of {len(self.f)} pooled rows, not the "
+                             f"{a.n + b.n} ({a.n} + {b.n}) of these samples: fit it on them")
+        return self.f, self.g
 
 
 @dataclass(frozen=True)
@@ -168,12 +183,11 @@ class ScoreMatrix:
         return int((~self.in_a).sum())
 
 
-def _standardize_columns(xa, xb):
+def _standardize_columns(x):
     """Pooled column means/sds for internal standardization (empty when
     there are no covariates)."""
-    pooled = np.vstack([xa, xb])
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sd is reported below
-        mu, sd = pooled.mean(axis=0), pooled.std(axis=0)
+        mu, sd = x.mean(axis=0), x.std(axis=0)
     for bad, why in ((~np.isfinite(sd), "spreads beyond float64"), (sd == 0, "is constant")):
         if np.any(bad):
             j = int(np.argmax(bad))
@@ -190,26 +204,27 @@ def _unstandardized(theta, mu, sd):
     return np.concatenate([[theta[0] - float(slopes @ mu)], slopes])
 
 
-def _newton_propensity(xa, xb, d):
-    """Maximize the design-weighted sampling likelihood.
+def _newton_propensity(x, n_a, d):
+    """Maximize the design-weighted sampling likelihood over the pooled rows
+    x, the n_a sample-A rows first.
 
     Returns (theta on the original scale, iterations used, final gradient
     max-norm on the standardized scale).
     """
-    mu, sd = _standardize_columns(xa, xb)
-    dm_a = _design(xa, mu, sd)
-    dm_b = _design(xb, mu, sd)
-    p = dm_a.shape[1]
-    if np.linalg.matrix_rank(np.vstack([dm_a, dm_b])) < p:
+    mu, sd = _standardize_columns(x)
+    dm = _design(x, mu, sd)
+    p = dm.shape[1]
+    if np.linalg.matrix_rank(dm) < p:
         raise RankDeficient("pooled design matrix is rank deficient")
+    dm_a, dm_b = dm[:n_a], dm[n_a:]
     with np.errstate(over="ignore"):  # an infinite sum is reported below
         d_sum = d.sum()
     if not np.isfinite(d_sum):
         raise WeightOverflow("sample-B design weights sum beyond float64")
     # The intercept's score equation n_A = sum_B d_i f_i, f_i < 1, needs sum(d) > n_A.
-    if d_sum <= xa.shape[0]:
+    if d_sum <= n_a:
         raise Separation(
-            f"sample-B design weights sum to {d_sum:g}, not more than the {xa.shape[0]} "
+            f"sample-B design weights sum to {d_sum:g}, not more than the {n_a} "
             "sample-A units: they cannot represent a population that contains sample A"
         )
 
@@ -219,7 +234,7 @@ def _newton_propensity(xa, xb, d):
     obj = float(ga @ theta - d @ np.logaddexp(0.0, eta_b))
 
     def fail(msg):
-        f_pool = _expit(np.concatenate([dm_a @ theta, eta_b]))
+        f_pool = _expit(dm @ theta)
         pinned = np.any(f_pool < _PIN_TOL) or np.any(f_pool > 1.0 - _PIN_TOL)
         cls = Separation if pinned else NonConvergence
         raise cls(msg)
@@ -284,25 +299,17 @@ def _dominant_weight(d):
 
 
 def fit_propensity(a: SampleA, b: SampleB) -> np.ndarray:
-    """Fit the sampling-score logistic model.
+    """Fit the sampling-score logistic model on samples with the same
+    covariate columns.
 
     Maximizes sum_A log(f/(1-f)) + sum_B d_i log(1-f) over intercept-first
-    coefficients theta, where f = expit(theta_0 + x theta).  With no
+    coefficients theta, where f = expit(theta_0 + x theta), and returns
+    theta (shape (k+1,)) on the original covariate scale.  With no
     covariates this reduces to the closed form f = N_A / sum(d).
-
-    Parameters
-    ----------
-    a, b : SampleA, SampleB
-        Samples with identical covariate column layout.
-
-    Returns
-    -------
-    ndarray of shape (k+1,), intercept first, on the original covariate
-    scale.
     """
     if a.x.shape[1] != b.x.shape[1]:
         raise ValueError("samples disagree on the number of covariate columns")
-    theta, _, _ = _newton_propensity(a.x, b.x, b.d)
+    theta, _, _ = _newton_propensity(np.vstack([a.x, b.x]), a.n, b.d)
     return theta
 
 
@@ -320,7 +327,8 @@ def fit_prognostic(a: SampleA) -> np.ndarray:
 
 
 def fit_scores(a: SampleA, b: SampleB, cols_r=None, cols_y=None) -> ScoreFit:
-    """Fit both score models and record normalization constants.
+    """Fit both score models, evaluate them once on the pooled rows, and
+    record the normalization constants.
 
     cols_r / cols_y restrict the covariate columns each model sees
     (iterables of column indices into the full matrix; None = all), which
@@ -331,20 +339,14 @@ def fit_scores(a: SampleA, b: SampleB, cols_r=None, cols_y=None) -> ScoreFit:
     cols_r = None if cols_r is None else tuple(cols_r)
     cols_y = None if cols_y is None else tuple(cols_y)
 
-    theta_r, iters, gnorm = _newton_propensity(
-        _take_cols(a.x, cols_r), _take_cols(b.x, cols_r), b.d
-    )
-    theta_y = fit_prognostic(SampleA(_take_cols(a.x, cols_y), a.y))
-
-    # The pooled SDs are set below, from the fit's own scores.
-    fit = ScoreFit(theta_r, theta_y, iters, gnorm, sd_f=np.nan, sd_g=np.nan,
-                   cols_r=cols_r, cols_y=cols_y)
     pooled = np.vstack([a.x, b.x])
-    return replace(
-        fit,
-        sd_f=_pooled_sd(fit.propensity(pooled), "sampling"),
-        sd_g=_pooled_sd(fit.prognostic(pooled), "prognostic"),
-    )
+    x_r, x_y = _take_cols(pooled, cols_r), _take_cols(pooled, cols_y)
+    theta_r, iters, gnorm = _newton_propensity(x_r, a.n, b.d)
+    theta_y = fit_prognostic(SampleA(x_y[: a.n], a.y))
+    f, g = _expit(_linear(theta_r, x_r)), _linear(theta_y, x_y)
+    return ScoreFit(theta_r, theta_y, iters, gnorm,
+                    sd_f=_pooled_sd(f, "sampling"), sd_g=_pooled_sd(g, "prognostic"),
+                    f=f, g=g, cols_r=cols_r, cols_y=cols_y)
 
 
 def _pooled_sd(values, label):
@@ -358,14 +360,12 @@ def _pooled_sd(values, label):
 
 
 def build_score_matrix(a: SampleA, b: SampleB, fit: ScoreFit) -> ScoreMatrix:
-    """Evaluate both scores on the pooled rows and divide each column by
-    the pooled standard deviation (ddof=1) that fit_scores stored for the
-    same samples, giving unit-variance columns.
+    """Divide the fit's pooled scores by the pooled standard deviations
+    (ddof=1) fit_scores stored with them, giving unit-variance columns.
+    The fit must have been made on a and b.
 
     Row order is sample A first, then sample B.
     """
-    pooled = np.vstack([a.x, b.x])
-    z = np.column_stack([fit.propensity(pooled) / fit.sd_f, fit.prognostic(pooled) / fit.sd_g])
-    in_a = np.zeros(pooled.shape[0], dtype=bool)
-    in_a[: a.n] = True
-    return ScoreMatrix(z=z, in_a=in_a)
+    f, g = fit._scores(a, b)
+    z = np.column_stack([f / fit.sd_f, g / fit.sd_g])
+    return ScoreMatrix(z=z, in_a=np.arange(z.shape[0]) < a.n)

@@ -113,8 +113,9 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.nonlinearity not in NONLINEARITY_MODES:
             raise ValueError(f"nonlinearity must be one of {NONLINEARITY_MODES}")
-        if min(self.n_pop, self.n_a, self.n_b, self.m, self.n_reps) < 1:
-            raise ValueError("sizes must be positive")
+        for field in ("n_pop", "n_a", "n_b", "m", "n_reps"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be at least 1, got {getattr(self, field)}")
         if self.n_b >= self.n_pop or self.n_a >= self.n_pop:
             raise ValueError("sample sizes must be smaller than the population")
         if not 0.0 < self.rho <= 1.0:

@@ -219,8 +219,9 @@ def _corrected_interval(plan, fit, a, b, point, spec, k, d, norm) -> IntervalRep
     B-units contribute d_i*(g_i - point); both sides get their own
     multiplier weights and the sum is divided by norm.
     """
-    resid_a = k * (a.y - fit.prognostic(a.x)) / plan.m
-    resid_b = d * (fit.prognostic(b.x) - point)
+    _, g = fit._scores(a, b)
+    resid_a = k * (a.y - g[: a.n]) / plan.m
+    resid_b = d * (g[a.n :] - point)
     draws = _centered_draws(spec, np.concatenate([resid_a, resid_b]), norm)
     return _interval(point, draws, spec.alpha)
 

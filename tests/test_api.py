@@ -37,8 +37,9 @@ _PI_RANGE = "inclusion probabilities must lie in (0, 1]"
     pytest.param(lambda: dsm.sigma2_units(dsm.InnerNeighbors(j=1, l_sets=np.array([[1], [0]])),
                                           [1.0]),
                  ValueError, "y_a must have one outcome per sample-A unit", id="sigma2_units"),
-    pytest.param(lambda: dsm.ScenarioSpec(n_reps=0), ValueError, "sizes must be positive",
-                 id="scenario_sizes"),
+    *(pytest.param(lambda field=field: dsm.ScenarioSpec(**{field: 0}), ValueError,
+                   f"{field} must be at least 1, got 0", id=f"scenario_{field}")
+      for field in ("n_pop", "n_a", "n_b", "m", "n_reps")),
     pytest.param(lambda: dsm.calibrate_pps(np.arange(1.0, 5.0), 4), ValueError,
                  "target size must lie strictly between 0 and the population size",
                  id="calibrate_pps_target"),

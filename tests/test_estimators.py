@@ -2,6 +2,8 @@
 the two algebraic routes to the bias-corrected mean, and the reductions
 that tie the weighted estimators back to the unweighted ones."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,19 +42,23 @@ def plan_from(j_sets, n_a, d_b=None):
     )
 
 
-def linear_fit(intercept, slope):
-    """Hand-built fit whose prognostic score is intercept + slope * x and
-    whose sampling score is flat at one half."""
-    return ScoreFit(
-        theta_r=np.array([0.0, 0.0]),
+def linear_fit(intercept, slope, a, b, theta_r=(0.0, 0.0)):
+    """Hand-built fit on samples a and b whose prognostic score is
+    intercept + slope * x and whose sampling score is expit(theta_r[0] +
+    theta_r[1] * x), flat at one half by default.  Like a fit_scores fit,
+    it carries both scores of the pooled rows, sample A first."""
+    fit = ScoreFit(
+        theta_r=np.array(theta_r, dtype=float),
         theta_y=np.array([float(intercept), float(slope)]),
         iterations=1,
         grad_norm=0.0,
         sd_f=1.0,
         sd_g=1.0,
-        cols_r=None,
-        cols_y=None,
+        f=np.empty(0),
+        g=np.empty(0),
     )
+    pooled = np.vstack([a.x, b.x])
+    return replace(fit, f=fit.propensity(pooled), g=fit.prognostic(pooled))
 
 
 def estimate(plan, y_a, b=None):
@@ -63,7 +69,7 @@ def estimate(plan, y_a, b=None):
     a = SampleA(np.zeros((y_a.shape[0], 1)), y_a)
     if b is None:
         b = SampleB(np.zeros((plan.n_b, 1)), np.ones(plan.n_b))
-    return point_estimates(plan, linear_fit(0.0, 0.0), a, b)
+    return point_estimates(plan, linear_fit(0.0, 0.0, a, b), a, b)
 
 
 def test_mu_b_all_donors_is_grand_mean():
@@ -120,7 +126,7 @@ def test_bias_hat_zero_for_perfect_matches():
     a = SampleA(np.array([[0.0], [1.0], [2.0]]), np.zeros(3))
     b = SampleB(np.array([[1.0], [2.0]]), np.ones(2))
     plan = plan_from([[1], [2]], n_a=3)
-    assert point_estimates(plan, linear_fit(1.0, 2.0), a, b).bias_hat == 0.0
+    assert point_estimates(plan, linear_fit(1.0, 2.0, a, b), a, b).bias_hat == 0.0
 
 
 def test_bias_hat_zero_for_constant_prognosis():
@@ -128,7 +134,7 @@ def test_bias_hat_zero_for_constant_prognosis():
     a = SampleA(rng.normal(size=(4, 1)), rng.normal(size=4))
     b = SampleB(rng.normal(size=(2, 1)), np.ones(2))
     plan = plan_from([[0, 3], [1, 2]], n_a=4)
-    assert point_estimates(plan, linear_fit(3.0, 0.0), a, b).bias_hat == 0.0
+    assert point_estimates(plan, linear_fit(3.0, 0.0, a, b), a, b).bias_hat == 0.0
 
 
 def test_bias_hat_linear_hand_value():
@@ -137,7 +143,7 @@ def test_bias_hat_linear_hand_value():
     a = SampleA(np.array([[0.0], [1.0], [2.0], [3.0]]), np.zeros(4))
     b = SampleB(np.array([[1.0], [0.0]]), np.ones(2))
     plan = plan_from([[0, 1], [2, 3]], n_a=4)
-    est = point_estimates(plan, linear_fit(1.0, 2.0), a, b)
+    est = point_estimates(plan, linear_fit(1.0, 2.0, a, b), a, b)
     assert est.bias_hat == pytest.approx(2.0, abs=1e-14)
 
 
@@ -153,7 +159,7 @@ def test_debiased_two_form_identity():
         b = SampleB(xb, rng.uniform(1, 4, size=n_b))
         j_sets = np.array([rng.choice(n_a, size=m, replace=False) for _ in range(n_b)])
         plan = plan_from(j_sets, n_a=n_a)
-        fit = linear_fit(0.7, -1.3)
+        fit = linear_fit(0.7, -1.3, a, b)
         direct = point_estimates(plan, fit, a, b).mu_b_debiased
         g_a = fit.prognostic(xa)
         g_b = fit.prognostic(xb)
@@ -165,7 +171,7 @@ def test_debiased_equals_plain_when_bias_vanishes():
     a = SampleA(np.array([[0.0], [2.0]]), np.array([1.0, 5.0]))
     b = SampleB(np.array([[0.0], [2.0]]), np.ones(2))
     plan = plan_from([[0], [1]], n_a=2)
-    est = point_estimates(plan, linear_fit(0.5, 1.0), a, b)
+    est = point_estimates(plan, linear_fit(0.5, 1.0, a, b), a, b)
     assert est.bias_hat == 0.0
     assert est.mu_b_debiased == est.mu_b
 
@@ -173,11 +179,11 @@ def test_debiased_equals_plain_when_bias_vanishes():
 def test_debiased_with_exact_outcomes_averages_predictions():
     # y on A lies exactly on the prognostic line: the corrected mean is
     # the average B prediction.
-    fit = linear_fit(2.0, 1.5)
     xa = np.array([[0.0], [1.0], [2.0]])
-    a = SampleA(xa, fit.prognostic(xa))
     xb = np.array([[0.5], [3.0]])
     b = SampleB(xb, np.ones(2))
+    fit = linear_fit(2.0, 1.5, SampleA(xa, np.zeros(3)), b)
+    a = SampleA(xa, fit.prognostic(xa))
     plan = plan_from([[0, 1], [1, 2]], n_a=3)
     expected = float(fit.prognostic(xb).mean())
     assert point_estimates(plan, fit, a, b).mu_b_debiased == pytest.approx(expected, abs=1e-12)
@@ -213,7 +219,7 @@ def test_mu_dsm_debiased_perfect_matches():
     a = SampleA(np.array([[0.0], [1.0], [2.0]]), np.array([2.0, 1.0, 4.0]))
     b = SampleB(np.array([[1.0], [2.0]]), np.array([3.0, 5.0]))
     plan = plan_from([[1], [2]], n_a=3, d_b=b.d)
-    est = point_estimates(plan, linear_fit(-1.0, 0.5), a, b)
+    est = point_estimates(plan, linear_fit(-1.0, 0.5, a, b), a, b)
     assert est.mu_dsm_debiased == est.mu_dsm
 
 
@@ -223,7 +229,7 @@ def test_mu_dsm_debiased_equal_weights():
     b = SampleB(rng.normal(size=(4, 1)), np.full(4, 3.0))
     j_sets = np.array([rng.choice(6, size=2, replace=False) for _ in range(4)])
     plan = plan_from(j_sets, n_a=6, d_b=b.d)
-    est = point_estimates(plan, linear_fit(0.2, 0.9), a, b)
+    est = point_estimates(plan, linear_fit(0.2, 0.9, a, b), a, b)
     assert abs(est.mu_dsm_debiased - est.mu_b_debiased) < 1e-12
 
 
@@ -231,7 +237,7 @@ def test_mu_dsm_debiased_direct_formula():
     a = SampleA(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([1.0, 0.0, 2.0, 5.0]))
     b = SampleB(np.array([[0.5], [2.5]]), np.array([2.0, 6.0]))
     plan = plan_from([[0, 1], [2, 3]], n_a=4, d_b=b.d)
-    fit = linear_fit(1.0, 1.0)
+    fit = linear_fit(1.0, 1.0, a, b)
     g_a = fit.prognostic(a.x)
     g_b = fit.prognostic(b.x)
     expected = 0.0
@@ -243,10 +249,10 @@ def test_mu_dsm_debiased_direct_formula():
 
 
 def test_dre_exact_prognosis_averages_b_predictions():
-    fit = linear_fit(1.0, 2.0)
     xa = np.array([[0.0], [1.0], [4.0]])
-    a = SampleA(xa, fit.prognostic(xa))
     b = SampleB(np.array([[2.0], [3.0]]), np.array([1.0, 3.0]))
+    fit = linear_fit(1.0, 2.0, SampleA(xa, np.zeros(3)), b)
+    a = SampleA(xa, fit.prognostic(xa))
     expected = float(b.d @ fit.prognostic(b.x) / b.d.sum())
     plan = plan_from([[0], [1]], n_a=3)
     assert point_estimates(plan, fit, a, b).dre == pytest.approx(expected, abs=1e-12)
@@ -255,37 +261,18 @@ def test_dre_exact_prognosis_averages_b_predictions():
 def test_dre_flat_propensity_zero_prognosis():
     # Constant f cancels out of the normalized residual term; with g = 0
     # the estimate is just the plain sample-A mean.
-    fit = ScoreFit(
-        theta_r=np.array([-0.8473, 0.0]),
-        theta_y=np.array([0.0, 0.0]),
-        iterations=1,
-        grad_norm=0.0,
-        sd_f=1.0,
-        sd_g=1.0,
-        cols_r=None,
-        cols_y=None,
-    )
     rng = np.random.default_rng(15)
     a = SampleA(rng.normal(size=(5, 1)), rng.normal(size=5))
     b = SampleB(rng.normal(size=(3, 1)), rng.uniform(1, 2, size=3))
+    fit = linear_fit(0.0, 0.0, a, b, theta_r=(-0.8473, 0.0))
     plan = plan_from([[0], [1], [2]], n_a=5)
     assert point_estimates(plan, fit, a, b).dre == pytest.approx(float(a.y.mean()), abs=1e-12)
 
 
 def test_dre_warns_on_extreme_propensity():
-    fit = linear_fit(0.0, 0.0)
-    fit = ScoreFit(
-        theta_r=np.array([-40.0, 0.0]),
-        theta_y=fit.theta_y,
-        iterations=1,
-        grad_norm=0.0,
-        sd_f=1.0,
-        sd_g=1.0,
-        cols_r=None,
-        cols_y=None,
-    )
     a = SampleA(np.array([[1.0]]), np.array([2.0]))
     b = SampleB(np.array([[1.0]]), np.array([1.0]))
+    fit = linear_fit(0.0, 0.0, a, b, theta_r=(-40.0, 0.0))
     with pytest.warns(ExtremePropensityWarning):
         point_estimates(plan_from([[0]], n_a=1), fit, a, b).dre
 
@@ -321,7 +308,7 @@ def test_point_estimates_bundle_matches_parts():
     b = SampleB(rng.normal(size=(5, 1)), rng.uniform(1, 3, size=5))
     j_sets = np.array([rng.choice(8, size=2, replace=False) for _ in range(5)])
     plan = plan_from(j_sets, n_a=8, d_b=b.d)
-    fit = linear_fit(0.4, 1.1)
+    fit = linear_fit(0.4, 1.1, a, b)
     est = point_estimates(plan, fit, a, b)
     yhat = impute(plan, a.y)
     gaps = fit.prognostic(a.x)[plan.j_sets].mean(axis=1) - fit.prognostic(b.x)

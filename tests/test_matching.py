@@ -131,6 +131,22 @@ def test_count_conservation():
         assert abs(total - m * d_b.sum()) <= 1e-9 * abs(total)
 
 
+def test_weighted_counts_route_each_weight_to_its_own_donors():
+    # Oracle: k_weighted[j] is the sum of d_i over the B units i that took
+    # donor j.  Weights routed to other units' donors keep the total.
+    rng = np.random.default_rng(4)
+    za = rng.normal(size=(15, 2))
+    zb = rng.normal(size=(11, 2))
+    d_b = rng.uniform(0.5, 9.0, size=11)
+    for m in (1, 3):
+        plan = find_matches(make_scores(za, zb), m, d_b=d_b)
+        expected = np.zeros(15)
+        for i, donors in enumerate(plan.j_sets):
+            for j in donors:
+                expected[j] += d_b[i]
+        assert np.allclose(plan.k_weighted, expected, rtol=1e-12, atol=0.0)
+
+
 def test_unit_weights_make_counts_agree():
     rng = np.random.default_rng(3)
     za = rng.normal(size=(12, 2))

@@ -2,12 +2,15 @@
 least-squares prognostic score against hand algebra, and the pooled
 normalization contract."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 import dsm.scores as dsm_scores
 from dsm import (
+    BootstrapSpec,
     DegenerateScore,
     EmptySample,
     RankDeficient,
@@ -15,10 +18,13 @@ from dsm import (
     SampleB,
     Separation,
     ScoreMatrix,
+    bootstrap_ci_debiased,
     build_score_matrix,
+    find_matches,
     fit_prognostic,
     fit_propensity,
     fit_scores,
+    point_estimates,
 )
 
 
@@ -232,6 +238,32 @@ def test_column_subsets_reach_both_models():
     assert fit.theta_r.shape == (3,) and fit.theta_y.shape == (3,)
     full = fit_scores(a, b)
     assert not np.allclose(fit.theta_r, full.theta_r[:3])
+
+
+@pytest.mark.parametrize("cols_r, cols_y", [(None, None), ((0, 1), (0, 2))])
+def test_fit_carries_the_scores_of_its_pooled_rows(cols_r, cols_y):
+    # Every later stage slices these arrays instead of evaluating the
+    # models again, so they must be exactly the models' pooled scores.
+    a, b = _pair(10)
+    fit = fit_scores(a, b, cols_r=cols_r, cols_y=cols_y)
+    pooled = np.vstack([a.x, b.x])
+    assert fit.f.tobytes() == fit.propensity(pooled).tobytes()
+    assert fit.g.tobytes() == fit.prognostic(pooled).tobytes()
+
+
+def test_fit_made_on_samples_of_another_size_is_rejected():
+    a, b = _pair(11)
+    plan = find_matches(build_score_matrix(a, b, fit_scores(a, b)), 2, d_b=b.d)
+    other = fit_scores(*_pair(11, n_a=29))
+    message = ("the fit holds scores of 69 pooled rows, not the 70 (30 + 40) of these "
+               "samples: fit it on them")
+    for call in (
+        lambda: build_score_matrix(a, b, other),
+        lambda: point_estimates(plan, other, a, b),
+        lambda: bootstrap_ci_debiased(plan, other, a, b, 0.0, BootstrapSpec(n_draws=10)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            call()
 
 
 def test_converged_metadata():

@@ -35,6 +35,20 @@ from dsm import (
 )
 
 
+class FixedDraws:
+    """Generator stand-in for pps_sample: the identity permutation and a
+    fixed systematic start u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def permutation(self, n):
+        return np.arange(n)
+
+    def random(self):
+        return self.u
+
+
 @pytest.fixture(autouse=True)
 def one_worker(monkeypatch):
     # Replications run in this process unless a test asks for a pool.
@@ -274,15 +288,14 @@ def test_pps_repeated_selection_is_a_package_error():
     # the total falls 5e-7 short of n_b, so the last point runs past the
     # final edge and is clamped onto the certainty unit the previous
     # point already took.
-    class FixedDraws:
-        def permutation(self, n):
-            return np.arange(n)
-
-        def random(self):
-            return 1.0 - 1e-7
-
     with pytest.raises(RepeatedSelection):
-        pps_sample(np.array([1.0 - 5e-7, 1.0]), 2, FixedDraws())
+        pps_sample(np.array([1.0 - 5e-7, 1.0]), 2, FixedDraws(1.0 - 1e-7))
+
+
+def test_pps_point_on_an_edge_selects_the_next_unit():
+    # Unit i covers [edge_{i-1}, edge_i): with edges 0.5, 1, 1.5, 2 the
+    # points 0.5 and 1.5 lie exactly on edges and select units 1 and 3.
+    assert pps_sample(np.full(4, 0.5), 2, FixedDraws(0.5)).tolist() == [1, 3]
 
 
 def test_pps_equal_probability_frequencies():

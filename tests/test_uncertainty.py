@@ -5,6 +5,7 @@ evaluator, and the determinism contract."""
 import os
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,17 +54,21 @@ def plan_from(j_sets, n_a, d_b=None):
     )
 
 
-def linear_fit(intercept, slope):
-    return ScoreFit(
+def linear_fit(intercept, slope, a, b):
+    """Hand-built fit on samples a and b whose prognostic score is
+    intercept + slope * x, carrying both scores of the pooled rows."""
+    fit = ScoreFit(
         theta_r=np.array([0.0, 0.0]),
         theta_y=np.array([float(intercept), float(slope)]),
         iterations=1,
         grad_norm=0.0,
         sd_f=1.0,
         sd_g=1.0,
-        cols_r=None,
-        cols_y=None,
+        f=np.empty(0),
+        g=np.empty(0),
     )
+    pooled = np.vstack([a.x, b.x])
+    return replace(fit, f=fit.propensity(pooled), g=fit.prognostic(pooled))
 
 
 # -- residual variances -------------------------------------------------
@@ -296,9 +301,9 @@ def test_draw_ranges_split_across_threads(monkeypatch):
 
 
 def test_debiased_zero_when_outcomes_match_constant_prognosis():
-    fit = linear_fit(3.0, 0.0)
     a = SampleA(np.array([[0.0], [1.0], [2.0]]), np.full(3, 3.0))
     b = SampleB(np.array([[0.5], [1.5]]), np.ones(2))
+    fit = linear_fit(3.0, 0.0, a, b)
     plan = plan_from([[0], [2]], n_a=3, d_b=b.d)
     report = bootstrap_ci_debiased(plan, fit, a, b, 3.0, BootstrapSpec(n_draws=40, seed=1))
     assert np.all(report.draws == 0.0)
@@ -306,9 +311,9 @@ def test_debiased_zero_when_outcomes_match_constant_prognosis():
 
 
 def test_population_degenerate_with_exact_constant_prognosis():
-    fit = linear_fit(-1.5, 0.0)
     a = SampleA(np.array([[0.0], [4.0]]), np.full(2, -1.5))
     b = SampleB(np.array([[1.0], [2.0]]), np.array([2.0, 7.0]))
+    fit = linear_fit(-1.5, 0.0, a, b)
     plan = plan_from([[0], [1]], n_a=2, d_b=b.d)
     report = bootstrap_ci_population(
         plan, fit, a, b, -1.5, BootstrapSpec(n_draws=40, seed=2)
@@ -318,9 +323,9 @@ def test_population_degenerate_with_exact_constant_prognosis():
 
 def test_population_reduces_to_debiased_under_unit_weights():
     rng = np.random.default_rng(25)
-    fit = linear_fit(0.5, 1.2)
     a = SampleA(rng.normal(size=(7, 1)), rng.normal(size=7))
     b = SampleB(rng.normal(size=(5, 1)), np.ones(5))
+    fit = linear_fit(0.5, 1.2, a, b)
     j_sets = np.array([rng.choice(7, size=2, replace=False) for _ in range(5)])
     plan = plan_from(j_sets, n_a=7, d_b=b.d)
     spec = BootstrapSpec(n_draws=400, seed=31)
@@ -336,11 +341,11 @@ def test_debiased_replicates_match_independent_evaluator(monkeypatch):
     # multipliers, normalized sum; at every thread count, with unit counts
     # n_a + n_b of 6, 3, 7 and 1001 and chunks down to one draw.
     rng = np.random.default_rng(26)
-    fit = linear_fit(0.2, 0.8)
     point = 0.45
     for n_a, n_b, n_draws in [(4, 2, 64), (2, 1, 3), (4, 3, 2), (600, 401, 37)]:
         a = SampleA(rng.normal(size=(n_a, 1)), rng.normal(size=n_a))
         b = SampleB(rng.normal(size=(n_b, 1)), rng.uniform(1.0, 4.0, size=n_b))
+        fit = linear_fit(0.2, 0.8, a, b)
         plan = plan_from(rng.integers(0, n_a, size=(n_b, 2)), n_a=n_a, d_b=b.d)
         spec = BootstrapSpec(n_draws=n_draws, seed=12345)
 
@@ -361,9 +366,9 @@ def test_debiased_replicates_match_independent_evaluator(monkeypatch):
 
 def test_population_replicates_match_independent_evaluator():
     rng = np.random.default_rng(27)
-    fit = linear_fit(-0.4, 1.1)
     a = SampleA(rng.normal(size=(4, 1)), rng.normal(size=4))
     b = SampleB(rng.normal(size=(2, 1)), np.array([1.5, 4.5]))
+    fit = linear_fit(-0.4, 1.1, a, b)
     plan = plan_from([[1, 2], [0, 3]], n_a=4, d_b=b.d)
     point = -0.2
     spec = BootstrapSpec(n_draws=32, seed=999)
