@@ -106,8 +106,7 @@ def find_matches(scores: ScoreMatrix, m: int, d_b=None) -> MatchPlan:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    za = scores.z[scores.in_a]
-    zb = scores.z[~scores.in_a]
+    za, zb = scores.z[: scores.n_a], scores.z[scores.n_a :]
     n_a, n_b = za.shape[0], zb.shape[0]
     if m > n_a:
         raise MTooLarge(f"m={m} exceeds the {n_a} available donors")
@@ -133,8 +132,8 @@ def find_inner_neighbors(scores: ScoreMatrix, j: int) -> InnerNeighbors:
     """Find each sample-A unit's j nearest other sample-A units."""
     if j < 1:
         raise ValueError("j must be at least 1")
-    za = scores.z[scores.in_a]
-    n_a = za.shape[0]
+    n_a = scores.n_a
+    za = scores.z[:n_a]
     if j > n_a - 1:
         raise JTooLarge(f"j={j} exceeds the {n_a - 1} other donors available")
     # The j + 1 nearest by (distance, index) hold the j nearest others: drop

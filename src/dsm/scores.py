@@ -123,18 +123,18 @@ def _linear(theta, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScoreFit:
-    """Fitted score models, their scores on the samples they were fitted
-    on, and diagnostics.
+    """Fitted score models, the samples they were fitted on, their scores
+    there, and diagnostics.
 
     theta_r / theta_y hold intercept-first coefficients on the original
     covariate scale for the propensity and prognostic models; cols_r /
     cols_y record which covariate columns each model used (None = all).
-    f / g are the fitted scores of the pooled rows, sample A first, and
-    sd_f / sd_g their standard deviations, which normalize the score
-    columns.  build_score_matrix, point_estimates and the intervals read
-    f and g, so they need the samples the fit was made on; propensity and
-    prognostic score other rows.  fit_scores raises when the propensity
-    fit does not converge, so every fit it returns is a converged one.
+    a / b are the sample objects fitted on, not copies; f / g their pooled
+    scores, sample A first, and sd_f / sd_g the scores' standard
+    deviations.  build_score_matrix, point_estimates and the intervals
+    read f and g, so they accept a and b only: other sample objects, even
+    equal copies, raise ValueError.  propensity and prognostic score other
+    rows.  Every fit fit_scores returns is a converged one.
     """
 
     theta_r: np.ndarray
@@ -145,6 +145,8 @@ class ScoreFit:
     sd_g: float
     f: np.ndarray
     g: np.ndarray
+    a: SampleA
+    b: SampleB
     cols_r: tuple | None = None
     cols_y: tuple | None = None
 
@@ -157,30 +159,29 @@ class ScoreFit:
         return _linear(self.theta_y, _take_cols(x, self.cols_y))
 
     def _scores(self, a, b):
-        """(f, g), checked to hold one score per pooled row of a and b."""
-        if not len(self.f) == len(self.g) == a.n + b.n:
-            raise ValueError(f"the fit holds scores of {len(self.f)} pooled rows, not the "
-                             f"{a.n + b.n} ({a.n} + {b.n}) of these samples: fit it on them")
-        return self.f, self.g
+        """Views (f_a, f_b, g_a, g_b) of the scores of a and b, the samples fitted on."""
+        if a is not self.a or b is not self.b:
+            raise ValueError("the fit was made on other sample objects: fit it on these")
+        return self.f[: a.n], self.f[a.n :], self.g[: a.n], self.g[a.n :]
 
 
 @dataclass(frozen=True)
 class ScoreMatrix:
     """Pooled normalized scores: column 0 the sampling score, column 1 the
     prognostic score, each scaled to unit pooled standard deviation.
-    Rows are sample-A units first, then sample-B units; in_a flags the
-    A rows."""
+    Rows are the n_a sample-A units first, then the sample-B units;
+    in_a flags the A rows."""
 
     z: np.ndarray
-    in_a: np.ndarray
-
-    @property
-    def n_a(self) -> int:
-        return int(self.in_a.sum())
+    n_a: int
 
     @property
     def n_b(self) -> int:
-        return int((~self.in_a).sum())
+        return self.z.shape[0] - self.n_a
+
+    @property
+    def in_a(self) -> np.ndarray:
+        return np.arange(self.z.shape[0]) < self.n_a
 
 
 def _standardize_columns(x):
@@ -346,7 +347,7 @@ def fit_scores(a: SampleA, b: SampleB, cols_r=None, cols_y=None) -> ScoreFit:
     f, g = _expit(_linear(theta_r, x_r)), _linear(theta_y, x_y)
     return ScoreFit(theta_r, theta_y, iters, gnorm,
                     sd_f=_pooled_sd(f, "sampling"), sd_g=_pooled_sd(g, "prognostic"),
-                    f=f, g=g, cols_r=cols_r, cols_y=cols_y)
+                    f=f, g=g, a=a, b=b, cols_r=cols_r, cols_y=cols_y)
 
 
 def _pooled_sd(values, label):
@@ -366,6 +367,5 @@ def build_score_matrix(a: SampleA, b: SampleB, fit: ScoreFit) -> ScoreMatrix:
 
     Row order is sample A first, then sample B.
     """
-    f, g = fit._scores(a, b)
-    z = np.column_stack([f / fit.sd_f, g / fit.sd_g])
-    return ScoreMatrix(z=z, in_a=np.arange(z.shape[0]) < a.n)
+    fit._scores(a, b)  # raises unless the fit was made on a and b
+    return ScoreMatrix(z=np.column_stack([fit.f / fit.sd_f, fit.g / fit.sd_g]), n_a=a.n)

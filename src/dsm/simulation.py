@@ -397,8 +397,8 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
         cols_y, cols_r = _MODEL_COLUMNS[scenario[0]], _MODEL_COLUMNS[scenario[1]]
         try:
             with warnings.catch_warnings():
-                # extreme-propensity warnings are expected wholesale in the
-                # distorted-covariate modes; the report carries the numbers
+                # distorted-covariate modes raise extreme-propensity warnings wholesale;
+                # they are dropped (recording min/max propensity is ROADMAP item 5)
                 warnings.simplefilter("ignore", ExtremePropensityWarning)
                 *_, est, ci_b, ci_p = _analyse(a, b, spec.m, bs, cols_r, cols_y)
         except DsmError as err:

@@ -207,6 +207,8 @@ def bootstrap_ci_plain(plan: MatchPlan, y_a, point: float, spec: BootstrapSpec) 
     with independent multiplier weights and averages over n_b.
     """
     y_a = np.asarray(y_a, dtype=np.float64)
+    if y_a.shape != (plan.n_a,):
+        raise ValueError("y_a must have one outcome per donor")
     resid_a = plan.k_counts * (y_a - point) / plan.m
     draws = _centered_draws(spec, resid_a, plan.n_b)
     return _interval(point, draws, spec.alpha)
@@ -219,9 +221,9 @@ def _corrected_interval(plan, fit, a, b, point, spec, k, d, norm) -> IntervalRep
     B-units contribute d_i*(g_i - point); both sides get their own
     multiplier weights and the sum is divided by norm.
     """
-    _, g = fit._scores(a, b)
-    resid_a = k * (a.y - g[: a.n]) / plan.m
-    resid_b = d * (g[a.n :] - point)
+    _, _, g_a, g_b = fit._scores(a, b)
+    resid_a = k * (a.y - g_a) / plan.m
+    resid_b = d * (g_b - point)
     draws = _centered_draws(spec, np.concatenate([resid_a, resid_b]), norm)
     return _interval(point, draws, spec.alpha)
 

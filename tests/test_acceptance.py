@@ -258,9 +258,7 @@ def test_criterion_6_core_identities():
         if rng.random() < 0.5:
             za, zb = np.round(za, 1), np.round(zb, 1)
         z = np.vstack([za, zb])
-        in_a = np.zeros(len(z), dtype=bool)
-        in_a[:n_a] = True
-        got = find_matches(ScoreMatrix(z=z, in_a=in_a), m)
+        got = find_matches(ScoreMatrix(z=z, n_a=n_a), m)
         assert np.array_equal(got.j_sets, _oracle_match(za, zb, m))
 
     # Synthetic-population calibrations.

@@ -24,7 +24,7 @@ def test_star_import_keeps_stdlib_io():
 
 _A2 = dsm.SampleA(np.zeros((3, 2)), np.zeros(3))
 _B3 = dsm.SampleB(np.zeros((4, 3)), np.ones(4))
-_SMAT = dsm.ScoreMatrix(z=np.arange(8.0).reshape(4, 2), in_a=np.array([True, True, False, False]))
+_SMAT = dsm.ScoreMatrix(z=np.arange(8.0).reshape(4, 2), n_a=2)
 _COLUMNS = "samples disagree on the number of covariate columns"
 _PI_RANGE = "inclusion probabilities must lie in (0, 1]"
 

@@ -56,6 +56,8 @@ def linear_fit(intercept, slope, a, b, theta_r=(0.0, 0.0)):
         sd_g=1.0,
         f=np.empty(0),
         g=np.empty(0),
+        a=a,
+        b=b,
     )
     pooled = np.vstack([a.x, b.x])
     return replace(fit, f=fit.propensity(pooled), g=fit.prognostic(pooled))
@@ -90,8 +92,7 @@ def test_mu_b_matches_exhaustive_matching():
     za, zb = rng.normal(size=(5, 2)), rng.normal(size=(3, 2))
     y = rng.normal(size=5)
     z = np.vstack([za, zb])
-    in_a = np.arange(8) < 5
-    plan = find_matches(ScoreMatrix(z=z, in_a=in_a), 3)
+    plan = find_matches(ScoreMatrix(z=z, n_a=5), 3)
     by_hand = np.mean(
         [y[np.argsort(((za - p) ** 2).sum(axis=1), kind="stable")[:3]].mean() for p in zb]
     )
@@ -184,6 +185,7 @@ def test_debiased_with_exact_outcomes_averages_predictions():
     b = SampleB(xb, np.ones(2))
     fit = linear_fit(2.0, 1.5, SampleA(xa, np.zeros(3)), b)
     a = SampleA(xa, fit.prognostic(xa))
+    fit = replace(fit, a=a)
     plan = plan_from([[0, 1], [1, 2]], n_a=3)
     expected = float(fit.prognostic(xb).mean())
     assert point_estimates(plan, fit, a, b).mu_b_debiased == pytest.approx(expected, abs=1e-12)
@@ -253,6 +255,7 @@ def test_dre_exact_prognosis_averages_b_predictions():
     b = SampleB(np.array([[2.0], [3.0]]), np.array([1.0, 3.0]))
     fit = linear_fit(1.0, 2.0, SampleA(xa, np.zeros(3)), b)
     a = SampleA(xa, fit.prognostic(xa))
+    fit = replace(fit, a=a)
     expected = float(b.d @ fit.prognostic(b.x) / b.d.sum())
     plan = plan_from([[0], [1]], n_a=3)
     assert point_estimates(plan, fit, a, b).dre == pytest.approx(expected, abs=1e-12)

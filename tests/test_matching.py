@@ -26,10 +26,7 @@ from dsm import (
 
 
 def make_scores(za, zb):
-    z = np.vstack([za, zb])
-    in_a = np.zeros(len(z), dtype=bool)
-    in_a[: len(za)] = True
-    return ScoreMatrix(z=z, in_a=in_a)
+    return ScoreMatrix(z=np.vstack([za, zb]), n_a=len(za))
 
 
 def oracle_match(za, zb, m):

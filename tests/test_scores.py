@@ -19,6 +19,7 @@ from dsm import (
     Separation,
     ScoreMatrix,
     bootstrap_ci_debiased,
+    bootstrap_ci_population,
     build_score_matrix,
     find_matches,
     fit_prognostic,
@@ -186,6 +187,7 @@ def test_score_matrix_columns_have_unit_pooled_sd():
     scores = build_score_matrix(a, b, fit)
     assert np.allclose(scores.z.std(axis=0, ddof=1), 1.0, atol=1e-10)
     assert scores.n_a == a.n and scores.n_b == b.n
+    assert np.array_equal(scores.in_a, np.arange(a.n + b.n) < a.n)
 
 
 def test_identical_covariate_rows_share_score_rows():
@@ -251,19 +253,35 @@ def test_fit_carries_the_scores_of_its_pooled_rows(cols_r, cols_y):
     assert fit.g.tobytes() == fit.prognostic(pooled).tobytes()
 
 
-def test_fit_made_on_samples_of_another_size_is_rejected():
-    a, b = _pair(11)
+def _assert_every_stage_rejects(other, a, b):
+    """Each stage that reads a fit's scores refuses a fit not made on a and b."""
     plan = find_matches(build_score_matrix(a, b, fit_scores(a, b)), 2, d_b=b.d)
-    other = fit_scores(*_pair(11, n_a=29))
-    message = ("the fit holds scores of 69 pooled rows, not the 70 (30 + 40) of these "
-               "samples: fit it on them")
+    spec = BootstrapSpec(n_draws=10)
+    message = "the fit was made on other sample objects: fit it on these"
     for call in (
         lambda: build_score_matrix(a, b, other),
         lambda: point_estimates(plan, other, a, b),
-        lambda: bootstrap_ci_debiased(plan, other, a, b, 0.0, BootstrapSpec(n_draws=10)),
+        lambda: bootstrap_ci_debiased(plan, other, a, b, 0.0, spec),
+        lambda: bootstrap_ci_population(plan, other, a, b, 0.0, spec),
     ):
         with pytest.raises(ValueError, match=re.escape(message) + "$"):
             call()
+
+
+def test_fit_made_on_samples_of_another_size_is_rejected():
+    a, b = _pair(11)
+    _assert_every_stage_rejects(fit_scores(*_pair(11, n_a=29)), a, b)
+
+
+@pytest.mark.parametrize("other_samples", [
+    # 70 pooled rows split 31/39: a row-count check passes it.
+    pytest.param(lambda a, b: _pair(12, n_a=31, n_b=39), id="same_total_other_split"),
+    pytest.param(lambda a, b: (a, _pair(12)[1]), id="same_size_other_b"),
+    pytest.param(lambda a, b: (SampleA(a.x, a.y), b), id="equal_rebuilt_a"),
+])
+def test_fit_made_on_other_samples_of_the_same_size_is_rejected(other_samples):
+    a, b = _pair(11)
+    _assert_every_stage_rejects(fit_scores(*other_samples(a, b)), a, b)
 
 
 def test_converged_metadata():

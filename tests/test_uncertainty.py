@@ -66,6 +66,8 @@ def linear_fit(intercept, slope, a, b):
         sd_g=1.0,
         f=np.empty(0),
         g=np.empty(0),
+        a=a,
+        b=b,
     )
     pooled = np.vstack([a.x, b.x])
     return replace(fit, f=fit.propensity(pooled), g=fit.prognostic(pooled))
@@ -170,6 +172,15 @@ def test_plain_degenerate_interval():
     report = bootstrap_ci_plain(plan, y, 2.5, BootstrapSpec(n_draws=50, seed=3))
     assert report.lo == report.hi == report.point == 2.5
     assert np.all(report.draws == 0.0)
+
+
+@pytest.mark.parametrize("y_a", [5.0, [5.0], [5.0, 6.0], np.ones((3, 1))],
+                         ids=["scalar", "length_1", "length_2", "column"])
+def test_plain_rejects_outcomes_not_one_per_donor(y_a):
+    # A scalar or length-1 y_a would broadcast over the three donors.
+    plan = plan_from([[0, 1], [1, 2]], n_a=3)
+    with pytest.raises(ValueError, match="^y_a must have one outcome per donor$"):
+        bootstrap_ci_plain(plan, y_a, 5.0, BootstrapSpec(n_draws=10))
 
 
 def test_plain_orientation():
