@@ -69,6 +69,15 @@ def _columns(path, header, rows, names):
         raise SchemaMismatch(f"{path}: required columns appear more than once {repeated}")
     idx = [header.index(n) for n in names]
     out = np.empty((len(rows), len(names)))
+    try:
+        for c, j in enumerate(idx):
+            out[:, c] = np.fromiter(map(float, [row[j] for row in rows]), np.float64, len(rows))
+        if np.isfinite(out).all():
+            return out
+    except ValueError:
+        pass
+    # A bad cell: float() strips whitespace as .strip() does, so the cell-by-cell
+    # pass below accepts the same spellings and names the first bad cell.
     for r, row in enumerate(rows):
         for c, j in enumerate(idx):
             text = row[j].strip()

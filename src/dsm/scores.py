@@ -175,6 +175,11 @@ class ScoreMatrix:
     z: np.ndarray
     n_a: int
 
+    def __post_init__(self):
+        rows = self.z.shape[0]
+        if not 0 <= self.n_a <= rows:
+            raise ValueError(f"n_a must lie in [0, {rows}], the rows of z; got {self.n_a}")
+
     @property
     def n_b(self) -> int:
         return self.z.shape[0] - self.n_a

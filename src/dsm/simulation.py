@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -505,13 +504,18 @@ def run_scenario_table(base: ScenarioSpec, scenarios=SCENARIOS) -> dict:
     else is aggregated in replication order, so reports are bit-identical
     for a given spec no matter the worker count.  Replications run on up
     to DSM_THREADS (else the CPUs this process may run on) worker
-    processes, never more than replications; each bootstraps on one thread.
+    processes, never more than replications; each bootstraps on one
+    thread, without a thread pool.  One worker runs every replication in
+    this process, and only a run on two or more loads the process pool.
     """
     names, reps = tuple(dict.fromkeys(scenarios)), range(base.n_reps)
     if not set(names) <= set(SCENARIOS):
         raise ValueError(f"scenario must be one of {SCENARIOS}")
     workers = min(_worker_count(), base.n_reps)
     if workers > 1:
+        # Lazy: the process pool loads multiprocessing, socket and more, slowing `import dsm`.
+        from concurrent.futures import ProcessPoolExecutor
+
         import scipy.special  # loaded once here: the forked workers inherit it
 
         with ProcessPoolExecutor(workers, initializer=_one_bootstrap_thread) as pool:

@@ -11,7 +11,6 @@ from local residual-variance estimates is provided as a cross-check.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -180,16 +179,24 @@ def _centered_draws(spec: BootstrapSpec, resid, norm):
     seed: draw b always uses row b of one (n_draws, n_units) uniform
     block.  [0, n_draws) is split into contiguous draw ranges, one per
     thread (_worker_count threads, no more than draws; one thread gets one
-    range), each starting its own generator at its first row's offset in
-    the block and working through it in cache-sized chunks.  So identical
-    seeds give bit-identical draws whatever the thread count or chunk size.
+    range, drawn in the calling thread without a pool), each starting its
+    own generator at its first row's offset in the block and working
+    through it in cache-sized chunks.  So identical seeds give
+    bit-identical draws whatever the thread count or chunk size.
     """
     out = np.empty(spec.n_draws)
     threads = min(_worker_count(), spec.n_draws)
+    fill = partial(_draw_range, spec, resid, norm, out)
+    if threads == 1:
+        fill(0, spec.n_draws)
+        return out
+    # Lazy: concurrent.futures loads logging, threading and more, slowing `import dsm`.
+    from concurrent.futures import ThreadPoolExecutor
+
     edges = [spec.n_draws * t // threads for t in range(threads + 1)]
     with ThreadPoolExecutor(threads) as pool:
         # numpy releases the GIL while it generates and reduces.
-        list(pool.map(partial(_draw_range, spec, resid, norm, out), edges[:-1], edges[1:]))
+        list(pool.map(fill, edges[:-1], edges[1:]))
     return out
 
 

@@ -120,6 +120,35 @@ def test_load_samples_ignores_extra_columns(tmp_path):
     assert np.array_equal(b.d, [2.0, 3.0])
 
 
+def test_load_samples_reads_every_spelling_float_reads(tmp_path):
+    # Underscores, non-ASCII digits and padding with every character
+    # str.strip() removes: the columns equal, bit for bit, float() applied
+    # to each stripped cell.
+    pad = "".join(ch for ch in map(chr, range(0x110000)) if ch.isspace())
+    cells = ["1_0", "\u0661\u0662", "-0.0", "1e-320", f"{pad}2.5{pad}", " 7 ", "\u0663.5", "+4"]
+    rows = [(cells[i], cells[-1 - i], "1") for i in range(len(cells))]
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    with open(pa, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([("x1", "x2", "y"), *rows])
+    with open(pb, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([("x1", "x2", "d"), *rows])
+    a, b = load_samples(pa, pb, RunConfig(covariates=("x1", "x2")))
+    expected = np.array([[float(c.strip()) for c in row] for row in rows])
+    for got in (np.column_stack([a.x, a.y]), np.column_stack([b.x, b.d])):
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bad", ["", "abc", "nan", "1e500"])
+def test_load_samples_names_the_first_bad_cell_by_row(tmp_path, bad):
+    # Line 3 has a bad outcome and line 4 a bad first covariate: the error
+    # names line 3's column, the first bad cell in reading order.
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    pa.write_text(f"x1,y\n1.0,2.0\n1.0,{bad}\n{bad},4.0\n")
+    pb.write_text("x1,d\n0.5,2.0\n")
+    with pytest.raises(dsm.errors.ParseError, match=r"a\.csv:3: column 'y' is "):
+        load_samples(str(pa), str(pb), RunConfig(covariates=("x1",)))
+
+
 # -- exit codes ---------------------------------------------------------
 
 def test_missing_column_exits_schema(sample_files, tmp_path, capsys):
@@ -151,6 +180,7 @@ def test_ragged_row_exits_schema(sample_files, tmp_path):
     pytest.param("", "is empty", id="empty"),
     pytest.param("NaN", "is not finite", id="nan"),
     pytest.param("inf", "is not finite", id="inf"),
+    pytest.param("1e500", "is not finite", id="overflow"),
 ])
 def test_non_numeric_cell_exits_schema(tmp_path, capsys, cell, message):
     pa = tmp_path / "a.csv"

@@ -362,6 +362,38 @@ def test_importing_the_cli_leaves_scipy_spatial_unloaded():
         assert proc.stdout == "[]\n", f"import {module} loaded {proc.stdout.strip()}"
 
 
+_POOLS_LOADED = (
+    "sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent'))"
+)
+
+
+def test_importing_the_cli_leaves_the_pools_unloaded():
+    # multiprocessing and concurrent.futures (with logging, socket,
+    # subprocess and more) load where a process or thread pool starts.
+    for module in ("dsm", "dsm.cli"):
+        proc = _run_python("-c", f"import sys, {module}; print({_POOLS_LOADED})")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", f"import {module} loaded {proc.stdout.strip()}"
+
+
+@pytest.mark.parametrize("threads, pooled", [("1", False), ("2", True)])
+def test_one_thread_estimate_starts_no_thread_pool(tmp_path, monkeypatch, threads, pooled):
+    # scipy.special loads concurrent.futures itself (through numpy.testing),
+    # so the probe is the module that holds ThreadPoolExecutor.
+    rng = np.random.default_rng(3)
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    x = rng.uniform(0, 2, (60, 2))
+    pa.write_text("x1,x2,y\n" + "".join(f"{u},{v},{u + v}\n" for u, v in x[:20]))
+    pb.write_text("x1,x2,d\n" + "".join(f"{u},{v},3.0\n" for u, v in x[20:]))
+    argv = ["estimate", "--sample-a", str(pa), "--sample-b", str(pb), "--covariates", "x1,x2",
+            "--bootstrap", "50", "--out", str(tmp_path / "o.csv")]
+    code = ("import sys; from dsm.cli import main; "
+            "print(main(sys.argv[1:]), 'concurrent.futures.thread' in sys.modules)")
+    monkeypatch.setenv("DSM_THREADS", threads)
+    proc = _run_python("-c", code, *argv)
+    assert proc.stdout == f"0 {pooled}\n", proc.stderr
+
+
 def test_input_error_exits_before_scipy_loads(tmp_path):
     # A CSV that lacks a covariate fails on load, without waiting on scipy.
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"

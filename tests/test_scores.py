@@ -190,6 +190,14 @@ def test_score_matrix_columns_have_unit_pooled_sd():
     assert np.array_equal(scores.in_a, np.arange(a.n + b.n) < a.n)
 
 
+@pytest.mark.parametrize("n_a", [-1, 5, 6])
+def test_score_matrix_rejects_more_a_rows_than_it_has(n_a):
+    z = np.arange(8.0).reshape(4, 2)
+    with pytest.raises(ValueError, match=rf"n_a must lie in \[0, 4\], the rows of z; got {n_a}"):
+        ScoreMatrix(z=z, n_a=n_a)
+    assert [ScoreMatrix(z=z, n_a=k).n_b for k in (0, 4)] == [4, 0]
+
+
 def test_identical_covariate_rows_share_score_rows():
     a, b = _pair(1)
     xb = b.x.copy()

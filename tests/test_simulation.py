@@ -2,6 +2,7 @@
 views, and the Monte Carlo harness contract (determinism, failure
 accounting, single-replication degeneracy)."""
 
+import concurrent.futures
 import multiprocessing
 import os
 import pickle
@@ -461,7 +462,8 @@ def test_pool_never_outnumbers_replications(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    # run_scenario_table looks the pool class up where it starts the pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     for threads, n_reps, expected in [("4", 2, [2]), ("2", 3, [2]), ("4", 1, []), ("1", 3, [])]:
         monkeypatch.setenv("DSM_THREADS", threads)
         made.clear()
