@@ -16,9 +16,11 @@ import argparse
 import errno
 import os
 import sys
+import warnings
+from functools import partial
 
 from . import __version__
-from .errors import DsmError
+from .errors import DsmError, ExtremePropensityWarning
 from .io import RunConfig, load_samples, write_csv, write_meta
 from .matching import find_matches, impute
 from .scores import build_score_matrix, fit_scores
@@ -232,6 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(show, message, category, *where):
+    """Print an ExtremePropensityWarning as one `dsm: warning:` line, else call show."""
+    if issubclass(category, ExtremePropensityWarning):
+        print(f"dsm: warning: {message}", file=sys.stderr)
+    else:
+        show(message, category, *where)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"impute": cmd_impute, "estimate": cmd_estimate, "simulate": cmd_simulate}
@@ -242,7 +252,9 @@ def main(argv=None) -> int:
         out_dir = os.path.dirname(args.out) or "."
         if not os.path.isdir(out_dir):
             raise FileNotFoundError(errno.ENOENT, "no such directory", out_dir)
-        handlers[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = partial(_show_warning, warnings.showwarning)
+            handlers[args.command](args)
     except DsmError as err:
         message = str(err)
         column = getattr(err, "column", None)  # RankDeficient's covariate index

@@ -40,13 +40,13 @@ __all__ = [
 # Fitted propensities this close to {0, 1} count as pinned when deciding
 # whether a failed fit was a separation problem.
 _PIN_TOL = 1e-12
-_COEF_LIMIT = 1e6
 
-# Newton controls for the propensity fit: the max-norm gradient tolerance
-# (on internally standardized covariates, so it is scale-free) and the
-# cap on Newton steps.
+# Newton controls for the propensity fit: the max-norm gradient tolerance,
+# the cap on Newton steps, and the coefficient size that counts as
+# divergence (on internally standardized covariates, so all scale-free).
 _TOL = 1e-8
 _MAX_ITER = 100
+_COEF_LIMIT = 1e6
 
 
 @dataclass(frozen=True)
@@ -205,11 +205,6 @@ def _design(x, mu, sd):
     return np.column_stack([np.ones(x.shape[0]), (x - mu) / sd])
 
 
-def _unstandardized(theta, mu, sd):
-    slopes = theta[1:] / sd
-    return np.concatenate([[theta[0] - float(slopes @ mu)], slopes])
-
-
 def _newton_propensity(x, n_a, d):
     """Maximize the design-weighted sampling likelihood over the pooled rows
     x, the n_a sample-A rows first.
@@ -239,11 +234,11 @@ def _newton_propensity(x, n_a, d):
     eta_b = dm_b @ theta
     obj = float(ga @ theta - d @ np.logaddexp(0.0, eta_b))
 
-    def fail(msg):
+    def fail(msg, cause=None):
         f_pool = _expit(dm @ theta)
-        pinned = np.any(f_pool < _PIN_TOL) or np.any(f_pool > 1.0 - _PIN_TOL)
-        cls = Separation if pinned else NonConvergence
-        raise cls(msg)
+        if np.any(f_pool < _PIN_TOL) or np.any(f_pool > 1.0 - _PIN_TOL):
+            raise Separation(f"{msg}; {cause or 'the samples are separable'}")
+        raise NonConvergence(f"{msg}; {cause}" if cause else msg)
 
     gnorm = np.inf
     # Overflow is handled, not warned about: weights that carry the gradient
@@ -255,7 +250,8 @@ def _newton_propensity(x, n_a, d):
             grad = ga - dm_b.T @ (d * f_b)
             gnorm = float(np.max(np.abs(grad)))
             if gnorm <= _TOL:
-                return _unstandardized(theta, mu, sd), it, gnorm
+                slopes = theta[1:] / sd  # back to the original covariate scale
+                return np.concatenate([[theta[0] - float(slopes @ mu)], slopes]), it, gnorm
             if it == _MAX_ITER:
                 break
 
@@ -269,7 +265,7 @@ def _newton_propensity(x, n_a, d):
             try:
                 step = np.linalg.solve(hess, grad)
             except np.linalg.LinAlgError:
-                fail(f"curvature matrix is singular; {_dominant_weight(d)}")
+                fail("curvature matrix is singular", _dominant_weight(d))
 
             # Step-halving: the likelihood is concave, so the Newton direction
             # ascends; halve until the objective stops decreasing.  Near the
@@ -289,7 +285,7 @@ def _newton_propensity(x, n_a, d):
                 fail(f"step search stalled at gradient norm {gnorm:.3g}")
 
             theta, eta_b, obj = cand, eta_c, obj_c
-            if np.max(np.abs(_unstandardized(theta, mu, sd))) > _COEF_LIMIT:
+            if np.max(np.abs(theta)) > _COEF_LIMIT:
                 raise Separation("coefficients diverged; the samples are separable")
 
     fail(f"no convergence in {_MAX_ITER} iterations (gradient norm {gnorm:.3g})")
@@ -297,9 +293,11 @@ def _newton_propensity(x, n_a, d):
 
 def _dominant_weight(d):
     """Name the largest design weight, its row, and its ratio to the sum of
-    the others."""
+    the others when it exceeds that sum; else None."""
     top = int(np.argmax(d))
     rest = np.delete(d, top).sum()  # without d[top], so a 1e308 weight keeps it finite
+    if d[top] <= rest:
+        return None
     share = f"{d[top] / rest:.3g} times the sum of the others" if rest else "the only one"
     return f"the largest sample-B design weight, {d[top]:g} at row {top}, is {share}"
 

@@ -158,79 +158,41 @@ def calibrate_sigma(linear_predictor, rho: float) -> float:
 
 def calibrate_theta0(x, target_n_a: float) -> float:
     """Selection intercept making the expected volunteer-sample size hit
-    target_n_a, by bisection on the monotone size function."""
+    target_n_a, by safeguarded Newton on the monotone size function."""
     return _calibrate_theta0(x, target_n_a)[0]
 
 
 def _calibrate_theta0(x, target_n_a: float):
     """calibrate_theta0's intercept and the selection probabilities at it.
 
-    Plain bisection, except that a midpoint whose side an earlier sweep
-    proves is not swept.  A swept excess lies within err of the exact
-    excess at the rounded arguments (a few ulps per expit plus pairwise
-    summation), and the exact excess never decreases in t.  While
-    4 * err <= tol, a swept excess below -2 * tol at t proves one below
-    -tol at every point left of t, and one above 2 * tol proves one above
-    tol at every point right of t.  Newton steps from a logit start, then
-    one probe each side of their root, supply such sweeps; they never
-    decide the result, so a poor step costs sweeps only.
+    Safeguarded Newton (rtsafe): each sweep narrows the bracket by the sign
+    of its excess, then steps t - e / sum f(1 - f) when that lands strictly
+    inside the bracket, and bisects otherwise.  It starts from the logit
+    guess, clipped into the bracket, when the target and the linear
+    predictors allow one, else from the bracket's midpoint.
     """
     base = np.asarray(x, dtype=np.float64) @ _SELECTION_SLOPES
-    n, tol = base.shape[0], _CALIBRATION_TOL
-    err = n * 2.0**-52 * (16.0 + np.log2(n + 1.0))
-    proof = 2.0 * tol if 4.0 * err <= tol else np.inf
-    below, above, f = -np.inf, np.inf, None
-
-    def sweep(t):
-        nonlocal below, above, f
-        f = _expit(t + base)
-        e = float(f.sum()) - target_n_a
-        if e < -proof:
-            below = max(below, t)
-        elif e > proof:
-            above = min(above, t)
-        return e
-
-    def excess(t):
-        if t <= below:
-            return -np.inf
-        if t >= above:
-            return np.inf
-        return sweep(t)
-
-    if proof < np.inf and np.isfinite(base).all():
-        ok = 0 < target_n_a < n
-        t = float(np.log(target_n_a / (n - target_n_a)) - base.mean()) if ok else 0.0
-        for _ in range(8):
-            e = sweep(t)
-            slope = float((f * (1.0 - f)).sum())
-            if not slope > 0.0:
-                break
-            t -= e / slope
-            if abs(e) < 0.01:
-                sweep(t - 3.0 * tol / slope)
-                sweep(t + 3.0 * tol / slope)
-                break
-
+    n = base.shape[0]
     lo, hi = -40.0, 40.0
-    e_lo, e_hi = excess(lo), excess(hi)
     for _ in range(20):
-        if e_lo <= 0.0 <= e_hi:
+        if _expit(lo + base).sum() <= target_n_a <= _expit(hi + base).sum():
             break
         lo, hi = lo * 2.0, hi * 2.0
-        e_lo, e_hi = excess(lo), excess(hi)
     else:
         raise BracketFailure(f"target size {target_n_a} cannot be bracketed")
 
+    t = 0.5 * (lo + hi)
+    if 0 < target_n_a < n and np.isfinite(base).all():
+        t = min(max(float(np.log(target_n_a / (n - target_n_a)) - base.mean()), lo), hi)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        e_mid = excess(mid)
-        if abs(e_mid) <= tol:
-            return mid, f
-        if e_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        f = _expit(t + base)
+        e = float(f.sum()) - target_n_a
+        if abs(e) <= _CALIBRATION_TOL:
+            return t, f
+        lo, hi = (t, hi) if e < 0.0 else (lo, t)
+        slope = float((f * (1.0 - f)).sum())
+        step = t - e / slope if slope > 0.0 else np.nan  # NaN, like inf, bisects
+        t = step if lo < step < hi else 0.5 * (lo + hi)
     raise BracketFailure("bisection failed to reach tolerance")
 
 

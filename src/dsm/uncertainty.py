@@ -132,14 +132,17 @@ def analytic_variance(plan: MatchPlan, y_a, mu_b_hat: float, inner: InnerNeighbo
 # -- wild bootstrap -----------------------------------------------------
 
 def _worker_count() -> int:
-    """DSM_THREADS, else the CPUs this process may run on, at least 1: the one
+    """DSM_THREADS, at least 1, else the CPUs this process may run on: the one
     cap on both the bootstrap's threads and the simulation's worker processes."""
     env = os.environ.get("DSM_THREADS", "").strip()
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise ValueError(f"DSM_THREADS must be an integer, got {env!r}") from None
+        if threads < 1:
+            raise ValueError(f"DSM_THREADS must be at least 1, got {threads}")
+        return threads
     affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 

@@ -486,6 +486,24 @@ def test_dominant_weight_is_named(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_extreme_propensity_warning_is_one_dsm_line(tmp_path, capsys):
+    # B weights of 1e6 push sample A's fitted propensities below 1e-6: the
+    # report is still written, with one warning line in the CLI's format
+    # instead of Python's file:line display.
+    rng = np.random.default_rng(0)
+    xa, xb = rng.normal(size=(40, 2)), rng.normal(size=(80, 2))
+    y = xa.sum(axis=1) + rng.normal(size=40)
+    pa, pb = _write_pair(tmp_path, xa, y, xb, np.full(80, 1e6))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(_base_args("estimate", pa, pb, tmp_path / "o.csv", bootstrap=20)) == 0
+    assert capsys.readouterr().err == (
+        "dsm: warning: minimum fitted propensity 2.28e-07 is below 1e-06; "
+        "inverse weighting may be unstable\n")
+    assert not caught
+    assert (tmp_path / "o.csv").exists()
+
+
 def _error_classes(base=dsm.errors.DsmError):
     for cls in base.__subclasses__():
         if cls.__module__ == "dsm.errors":
@@ -846,6 +864,20 @@ def test_estimate_non_integer_threads_exits_numeric(sample_files, tmp_path, monk
     out = tmp_path / "o.csv"
     assert main(_base_args("estimate", pa, pb, out)) == 3
     assert capsys.readouterr().err == "dsm: DSM_THREADS must be an integer, got 'two'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["estimate", "simulate"])
+def test_threads_below_one_exit_numeric_before_any_work(sample_files, tmp_path, monkeypatch,
+                                                       capsys, cmd):
+    monkeypatch.setenv("DSM_THREADS", "0")
+    monkeypatch.setattr(cli, "load_samples", _never_called)
+    monkeypatch.setattr(dsm.simulation, "_replicate", _never_called)
+    out = tmp_path / "o.csv"
+    args = (_base_args(cmd, *sample_files, out) if cmd == "estimate"
+            else ["simulate", "--table", "1", "--reps", "2", "--out", str(out)])
+    assert main(args) == 3
+    assert capsys.readouterr().err == "dsm: DSM_THREADS must be at least 1, got 0\n"
     assert not out.exists()
 
 

@@ -113,6 +113,37 @@ def test_separation_raises(weight, message):
         fit_propensity(a, b)
 
 
+def test_equal_weights_split_names_no_weight():
+    # No weight dominates the others here: the failure says only what the
+    # pinned propensities show.
+    a = SampleA(np.array([[1.0], [2.0], [3.0]]), np.zeros(3))
+    b = SampleB(np.array([[-1.0], [-2.0], [-3.0]]), np.full(3, 2.0))
+    with pytest.raises(Separation) as raised:
+        fit_propensity(a, b)
+    assert str(raised.value) == "curvature matrix is singular; the samples are separable"
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-7, 1e-9, 1e-12])
+def test_divergence_test_is_scale_free(scale):
+    # A covariate in tiny units has huge coefficients on the original scale
+    # but ordinary ones on the standardized scale the fit works in.
+    a, b = _pair(5, n_a=300, n_b=600)
+    xa, xb = a.x.copy(), b.x.copy()
+    xa[:, 0] *= scale
+    xb[:, 0] *= scale
+    fit = fit_scores(SampleA(xa, a.y), SampleB(xb, b.d))
+    assert np.max(np.abs(fit.f - fit_scores(a, b).f)) < 1e-12
+    # A perfect split still fails as separable at every scale.
+    split_a = SampleA(np.array([[1.0], [2.0], [3.0]]) * scale, np.zeros(3))
+    split_b = SampleB(np.array([[-1.0], [-2.0], [-3.0]]) * scale, np.full(3, 2.0))
+    with pytest.raises(Separation, match="separable"):
+        fit_propensity(split_a, split_b)
+    rng = np.random.default_rng(5)
+    xa, xb = np.abs(rng.normal(size=(300, 2))) + 0.1, -np.abs(rng.normal(size=(600, 2))) - 0.1
+    with pytest.raises(Separation, match="separable"):
+        fit_propensity(SampleA(xa * scale, a.y), SampleB(xb * scale, np.full(600, 2.0)))
+
+
 @pytest.mark.parametrize("n_b, weight, total", [(80, 1.0, "80"), (40, 2.0, "80")])
 def test_design_weights_not_covering_sample_a_raise(n_b, weight, total):
     # Fully overlapping covariates: only the weight total rules the fit out.

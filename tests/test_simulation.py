@@ -103,7 +103,8 @@ def test_theta0_infeasible_target():
 
 
 def _plain_bisection(x, target):
-    """Oracle: calibrate_theta0 sweeping every bisection point."""
+    """Oracle: plain bisection with calibrate_theta0's bracket, tolerance
+    and failure messages."""
     base = np.asarray(x, dtype=np.float64) @ sim._SELECTION_SLOPES
 
     def excess(t):
@@ -130,23 +131,30 @@ def _plain_bisection(x, target):
     raise BracketFailure("bisection failed to reach tolerance")
 
 
-def _outcome(calibrate, x, target):
+def _assert_same_contract(x, target):
+    """calibrate_theta0 succeeds where _plain_bisection does, with a swept
+    excess within tolerance, and fails where it does with the same message."""
     try:
-        return np.float64(calibrate(x, target)).tobytes()
+        _plain_bisection(x, target)
     except BracketFailure as err:
-        return str(err)
+        with pytest.raises(BracketFailure) as raised:
+            calibrate_theta0(x, target)
+        assert str(raised.value) == str(err)
+        return
+    theta0 = calibrate_theta0(x, target)
+    base = np.asarray(x, dtype=np.float64) @ sim._SELECTION_SLOPES
+    assert abs(float(sim._expit(theta0 + base).sum()) - target) <= sim._CALIBRATION_TOL
 
 
 @pytest.mark.parametrize("nonlinearity", NONLINEARITY_MODES)
-def test_theta0_bit_equal_to_plain_bisection(nonlinearity):
+def test_theta0_meets_the_plain_bisection_contract(nonlinearity):
     # Cubed or scaled covariates put the root beyond [-40, 40], so the
     # bracket doubles; scaled by 1e6 the size function is nearly a step.
     x = gen_population(ScenarioSpec(), np.random.default_rng(11)).x
     view = observed_covariates(x, nonlinearity)
     for scale in (1.0, 1e3, 1e6):
         for n_a in (100, 500, 1000, 3000, 9000):
-            xs = view * scale
-            assert _outcome(calibrate_theta0, xs, n_a) == _outcome(_plain_bisection, xs, n_a)
+            _assert_same_contract(view * scale, n_a)
 
 
 @pytest.mark.parametrize("x, target", [
@@ -160,7 +168,7 @@ def test_theta0_bit_equal_to_plain_bisection(nonlinearity):
                  3.0, id="infinite_covariates"),
 ])
 def test_theta0_failures_and_edges_match_plain_bisection(x, target):
-    assert _outcome(calibrate_theta0, x, target) == _outcome(_plain_bisection, x, target)
+    _assert_same_contract(x, target)
 
 
 @pytest.fixture
@@ -177,8 +185,8 @@ def sweeps(monkeypatch):
 
 
 def test_theta0_sweeps_and_population_reuses_the_last(sweeps):
-    # Plain bisection takes about 37 sweeps here; skipping proven
-    # decisions takes about 8.
+    # Plain bisection takes about 37 sweeps here; Newton, bracket included,
+    # about 7.
     spec = ScenarioSpec(nonlinearity="none", n_a=500, n_b=1000)
     for s in range(5):
         x = gen_population(spec, np.random.default_rng([spec.seed, s])).x
@@ -187,21 +195,20 @@ def test_theta0_sweeps_and_population_reuses_the_last(sweeps):
         n_sweeps = len(sweeps)
         sweeps.clear()
         pop = gen_population(spec, np.random.default_rng([spec.seed, s]))
-        assert n_sweeps <= 15
+        assert n_sweeps <= 8
         assert len(sweeps) <= n_sweeps
         assert np.array_equal(pop.pi_a, sim._expit(theta0 + x @ sim._SELECTION_SLOPES))
 
 
-def test_theta0_sweeps_every_midpoint_without_a_proof_margin(monkeypatch, sweeps):
-    # At a 1e-10 tolerance the rounding bound of a 20000-unit sweep exceeds
-    # a quarter of it, so no sweep may decide another point.
+def test_theta0_meets_a_tight_tolerance_in_few_sweeps(monkeypatch, sweeps):
+    # Plain bisection needs about 48 sweeps for 1e-10; Newton converges
+    # quadratically once inside the bracket.
     monkeypatch.setattr(sim, "_CALIBRATION_TOL", 1e-10)
     x = gen_population(ScenarioSpec(), np.random.default_rng(11)).x
-    outcomes = []
-    for calibrate in (calibrate_theta0, _plain_bisection):
-        sweeps.clear()
-        outcomes.append((_outcome(calibrate, x, 500), len(sweeps)))
-    assert outcomes[0] == outcomes[1]
+    sweeps.clear()
+    theta0 = calibrate_theta0(x, 500)
+    assert len(sweeps) <= 10
+    assert abs(float(sim._expit(theta0 + x @ sim._SELECTION_SLOPES).sum()) - 500) <= 1e-10
 
 
 def test_pps_closed_form_shift():

@@ -288,6 +288,13 @@ def test_worker_count_defaults_to_cpu_affinity(monkeypatch):
     assert unc._worker_count() == 4
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_worker_count_rejects_fewer_than_one_thread(monkeypatch, value):
+    monkeypatch.setenv("DSM_THREADS", value)
+    with pytest.raises(ValueError, match=f"^DSM_THREADS must be at least 1, got {value}$"):
+        unc._worker_count()
+
+
 def test_draw_ranges_split_across_threads(monkeypatch):
     # Contiguous ranges, one per thread, never more threads than draws.
     ranges = []
