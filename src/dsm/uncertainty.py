@@ -61,8 +61,6 @@ class BootstrapSpec:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.seed >= 2**128:
-            raise ValueError("seed must be below 2**128, the range of the Philox key")
 
 
 @dataclass(frozen=True)
@@ -155,14 +153,12 @@ def _one_bootstrap_thread() -> None:
 def _draw_range(spec: BootstrapSpec, resid, norm, out, lo: int, hi: int) -> None:
     """Fill out[lo:hi] with draws lo..hi-1 of _centered_draws.
 
-    Philox yields four 64-bit words per counter step and each uniform
-    takes one word, so advancing the counter by (lo*n)//4 steps and
-    burning (lo*n)%4 uniforms starts this generator at uniform lo*n of
-    the single-generator (n_draws, n) block.
+    PCG64DXSM yields one 64-bit word per step and each uniform takes one
+    word, so advancing it lo*n steps starts this generator at uniform
+    lo*n of the single-generator (n_draws, n) block.
     """
     n = resid.shape[0]
-    gen = np.random.Generator(np.random.Philox(key=spec.seed).advance(lo * n // 4))
-    gen.random(lo * n % 4)
+    gen = np.random.Generator(np.random.PCG64DXSM(spec.seed).advance(lo * n))
     chunk = max(1, _CHUNK_ELEMS // max(1, n))
     buf = np.empty((min(chunk, hi - lo), n))
     for pos in range(lo, hi, chunk):
@@ -178,14 +174,15 @@ def _centered_draws(spec: BootstrapSpec, resid, norm):
     """Bootstrap draws q_b = (w . resid) / norm, one multiplier weight per
     unit-level residual term.
 
-    Multiplier weights come from a counter-based generator keyed by the
-    seed: draw b always uses row b of one (n_draws, n_units) uniform
-    block.  [0, n_draws) is split into contiguous draw ranges, one per
-    thread (_worker_count threads, no more than draws; one thread gets one
-    range, drawn in the calling thread without a pool), each starting its
-    own generator at its first row's offset in the block and working
-    through it in cache-sized chunks.  So identical seeds give
-    bit-identical draws whatever the thread count or chunk size.
+    Multiplier weights come from one PCG64DXSM stream seeded by the seed
+    (through SeedSequence), which jumps ahead exactly: draw b always uses
+    row b of one (n_draws, n_units) uniform block.  [0, n_draws) is split
+    into contiguous draw ranges, one per thread (_worker_count threads, no
+    more than draws; one thread gets one range, drawn in the calling
+    thread without a pool), each starting its own generator at its first
+    row's offset in the block and working through it in cache-sized
+    chunks.  So identical seeds give bit-identical draws whatever the
+    thread count or chunk size.
     """
     out = np.empty(spec.n_draws)
     threads = min(_worker_count(), spec.n_draws)

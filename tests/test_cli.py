@@ -350,15 +350,16 @@ def test_negative_seed_exits_numeric(sample_files, tmp_path):
     assert main(args) == 3
 
 
-def test_seed_beyond_bootstrap_key_range_exits_before_loading(sample_files, tmp_path, monkeypatch,
-                                                              capsys):
-    monkeypatch.setattr(cli, "load_samples", _never_called)
+def test_seed_beyond_128_bits_draws_finite_intervals(sample_files, tmp_path):
+    # estimate's --seed, like simulate's, takes any nonnegative int.
     pa, pb = sample_files
     out = tmp_path / "o.csv"
-    assert main(_base_args("estimate", pa, pb, out, seed=2**128)) == 3
-    assert capsys.readouterr().err == (
-        "dsm: seed must be below 2**128, the range of the Philox key\n")
-    assert not out.exists()
+    assert main(_base_args("estimate", pa, pb, out, seed=2**128, bootstrap=50)) == 0
+    _, rows = _read_table(out)
+    intervals = [r for r in rows if r[0].startswith("ci_")]
+    assert len(intervals) == 3
+    assert all(np.isfinite([float(v) for v in r[1:]]).all() for r in intervals)
+    assert _read_meta(str(out) + ".meta")["seed"] == str(2**128)
 
 
 def test_impute_takes_no_seed(sample_files, tmp_path):
