@@ -7,7 +7,8 @@ Monte Carlo study tables.  Exit codes separate failure families: 2 for
 input, schema and output-path problems, 3 for numeric/configuration
 problems, 4 for convergence problems; each `dsm.errors` class declares
 its status as `exit_code`.  DSM_THREADS caps the simulation's
-processes and the bootstrap's threads (unset: the CPUs it may run on).
+processes and the bootstrap's threads (unset: the CPUs it may run on);
+BLAS runs on one thread unless its thread variables are exported.
 """
 
 from __future__ import annotations
@@ -18,6 +19,13 @@ import os
 import sys
 import warnings
 from functools import partial
+
+# Every BLAS call in dsm works on at most 5 columns, so extra BLAS threads
+# only spin.  A BLAS library reads these once, as it loads, so they are set
+# above the first import that loads numpy.  A value the user exported
+# wins; simulation workers inherit the setting.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 from . import __version__
 from .errors import DsmError, ExtremePropensityWarning

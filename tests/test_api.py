@@ -1,12 +1,18 @@
 """The package namespace: what `from dsm import *` brings in, and the
 messages its public functions give for arguments they reject."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dsm
+
+_SUBMODULES = ("errors", "estimators", "io", "matching", "scores", "simulation", "uncertainty")
 
 
 def test_all_names_resolve_and_none_is_a_module():
@@ -20,6 +26,33 @@ def test_star_import_keeps_stdlib_io():
     exec("import io\nfrom dsm import *", namespace)
     assert namespace["io"].__name__ == "io"
     assert "point_estimates" in namespace and "fit_scores" in namespace
+
+
+def test_all_is_the_union_of_the_submodule_exports():
+    exported = []
+    for name in _SUBMODULES:
+        module = getattr(dsm, name)
+        exported += getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")])
+    assert len(exported) == len(set(exported))
+    assert sorted(dsm.__all__) == sorted(exported)
+    assert "DsmError" in dsm.__all__ and "ExtremePropensityWarning" in dsm.__all__
+
+
+def test_import_dsm_loads_no_numpy_and_sets_no_variable():
+    # The submodules load on the first public name asked for, so a program
+    # can set its BLAS threads after `import dsm` and before numpy loads.
+    code = ("import os, sys; before = dict(os.environ); import dsm; "
+            "print('numpy' in sys.modules, dict(os.environ) == before, dsm.__version__)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == f"False True {dsm.__version__}\n", proc.stderr
+
+
+def test_unknown_names_raise_and_dir_lists_the_exports():
+    with pytest.raises(AttributeError, match="module 'dsm' has no attribute 'nope'"):
+        dsm.nope
+    assert set(dsm.__all__) | set(_SUBMODULES) <= set(dir(dsm))
 
 
 _A2 = dsm.SampleA(np.zeros((3, 2)), np.zeros(3))

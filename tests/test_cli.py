@@ -4,6 +4,9 @@ reruns."""
 
 import csv
 import io
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr
@@ -891,6 +894,51 @@ def test_estimate_byte_identical_across_thread_counts(sample_files, tmp_path, mo
         assert main(_base_args("estimate", pa, pb, out, bootstrap=999)) == 0
         outputs.append((out.read_bytes(), Path(str(out) + ".meta").read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# -- BLAS threads -------------------------------------------------------
+
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh_python(args, **blas):
+    """Run a new interpreter on this checkout's dsm, with no BLAS thread
+    variable set but those in blas."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARIABLES}
+    env.update(blas, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("exported, seen", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+])
+def test_the_cli_pins_blas_threads_unless_exported(exported, seen):
+    code = f"import os, dsm.cli; print([os.environ.get(v) for v in {_BLAS_VARIABLES}])"
+    proc = _fresh_python(["-c", code], **exported)
+    assert proc.stdout == f"{seen}\n", proc.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no per-thread task list")
+def test_the_cli_process_runs_one_native_thread():
+    # numpy's and scipy's OpenBLAS each start a thread pool as they load,
+    # unless told beforehand to run on one thread.
+    code = "import os, dsm.cli, scipy.special, scipy.spatial; print(len(os.listdir('/proc/self/task')))"
+    proc = _fresh_python(["-c", code])
+    assert proc.stdout == "1\n", proc.stderr
+
+
+def test_estimate_byte_identical_across_blas_thread_counts(sample_files, tmp_path):
+    pa, pb = sample_files
+    outputs = []
+    for blas in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        out = tmp_path / f"blas{len(outputs)}.csv"
+        argv = _base_args("estimate", pa, pb, out, bootstrap=199)
+        proc = _fresh_python(["-m", "dsm.cli", *argv], **blas)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out.read_bytes(), Path(str(out) + ".meta").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 # -- generated CSV text -------------------------------------------------
