@@ -9,8 +9,11 @@ key=value metadata sidecar next to its main output.
 from __future__ import annotations
 
 import csv
-import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain, islice
+from math import isfinite
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,68 +34,65 @@ class RunConfig:
     covariates: tuple = ()
 
 
-def _read_rows(path):
-    """Header and data rows of a CSV file.
-
-    A UTF-8 byte-order mark (as in spreadsheet exports) is dropped, and so
-    are blank rows at the end of the file; a blank row elsewhere is a ragged
-    row and, like an over-long field, fails with its line number.
-    """
+def _read_block(path, names):
+    """The named columns of a CSV file as an (n, len(names)) array, read in
+    one pass: the header first, then each row's width and cells.  The first
+    fault names its line, though a row the csv module rejects is found
+    before faults in the rows of its batch.  A UTF-8 byte-order mark (as in
+    spreadsheet exports) and blank rows at the end are dropped; a blank row
+    elsewhere fails as a short row or an empty cell.  `names` has two or
+    more entries, so `take` gives tuples."""
+    values = array("d")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+            rows = csv.reader(fh)
+            header = [h.strip() for h in next(rows, ())]
+            width = len(header)
+            missing = [n for n in names if n not in header]
+            repeated = [n for n in names if header.count(n) > 1]
+            # Header faults count in a file with data rows only.
+            if (missing or repeated) and any(any(map(str.strip, r)) for r in rows):
+                if missing:
+                    raise SchemaMismatch(f"{path}: missing required columns {missing}")
+                raise SchemaMismatch(f"{path}: required columns appear more than once {repeated}")
+            take = None if missing else itemgetter(*(header.index(n) for n in names))
+            # Whole batches of rows go in at once while each row has the header's
+            # width and finite numbers; from the first other batch on, row by row.
+            while batch := list(islice(rows, 1024)):
+                try:
+                    cells = array("d", map(float, chain.from_iterable(map(take, batch))))
+                except (ValueError, IndexError):
+                    break
+                if set(map(len, batch)) != {width} or not isfinite(sum(cells)):
+                    break
+                values.extend(cells)
+            rest = chain(batch, rows)
+            for row in rest:
+                # A blank row is trailing unless a filled row follows it.
+                if not (any(map(str.strip, row)) or any(any(map(str.strip, r)) for r in rest)):
+                    break
+                line = len(values) // len(names) + 2
+                if len(row) != width:
+                    raise ParseError(f"{path}:{line}: expected {width} fields, got {len(row)}")
+                for name, text in zip(names, take(row)):
+                    text = text.strip()  # Unlike float(), this drops U+001C-U+001F too.
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        fault = f"is not a number: {text!r}" if text else "is empty"
+                        raise ParseError(f"{path}:{line}: column {name!r} {fault}") from None
+                    if not isfinite(value):
+                        raise ParseError(f"{path}:{line}: column {name!r} is not finite")
+                    values.append(value)
     except csv.Error as err:
-        raise ParseError(f"{path}:{reader.line_num}: {err}") from None
+        raise ParseError(f"{path}:{rows.line_num}: {err}") from None
     except OSError as err:
         raise ParseError(f"{path}: {err.strerror or err}") from None
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
-    while rows and not any(field.strip() for field in rows[-1]):
-        rows.pop()
-    if len(rows) < 2:
+    if not values:
         raise SchemaMismatch(f"{path}: file has no data rows")
-    header = [h.strip() for h in rows[0]]
-    width = len(header)
-    for ln, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ParseError(f"{path}:{ln}: expected {width} fields, got {len(row)}")
-    return header, rows[1:]
-
-
-def _columns(path, header, rows, names):
-    missing = [n for n in names if n not in header]
-    if missing:
-        raise SchemaMismatch(f"{path}: missing required columns {missing}")
-    repeated = [n for n in dict.fromkeys(names) if header.count(n) > 1]
-    if repeated:
-        raise SchemaMismatch(f"{path}: required columns appear more than once {repeated}")
-    idx = [header.index(n) for n in names]
-    out = np.empty((len(rows), len(names)))
-    try:
-        for c, j in enumerate(idx):
-            out[:, c] = np.fromiter(map(float, [row[j] for row in rows]), np.float64, len(rows))
-        if np.isfinite(out).all():
-            return out
-    except ValueError:
-        pass
-    # A bad cell: float() strips whitespace as .strip() does, so the cell-by-cell
-    # pass below accepts the same spellings and names the first bad cell.
-    for r, row in enumerate(rows):
-        for c, j in enumerate(idx):
-            text = row[j].strip()
-            if not text:
-                raise ParseError(f"{path}:{r + 2}: column {names[c]!r} is empty")
-            try:
-                value = float(text)
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{r + 2}: column {names[c]!r} is not a number: {text!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(f"{path}:{r + 2}: column {names[c]!r} is not finite")
-            out[r, c] = value
-    return out
+    return np.frombuffer(values).reshape(-1, len(names))
 
 
 def load_samples(path_a, path_b, config: RunConfig):
@@ -113,10 +113,8 @@ def load_samples(path_a, path_b, config: RunConfig):
         if name in cov:
             raise SchemaMismatch(f"{role} column {name!r} is also a covariate")
 
-    header_a, rows_a = _read_rows(path_a)
-    header_b, rows_b = _read_rows(path_b)
-    block_a = _columns(path_a, header_a, rows_a, cov + [config.outcome])
-    block_b = _columns(path_b, header_b, rows_b, cov + [config.weight])
+    block_a = _read_block(path_a, cov + [config.outcome])
+    block_b = _read_block(path_b, cov + [config.weight])
 
     d = block_b[:, -1]
     if np.any(d <= 0):

@@ -169,31 +169,41 @@ def _calibrate_theta0(x, target_n_a: float):
     of its excess, then steps t - e / sum f(1 - f) when that lands strictly
     inside the bracket, and bisects otherwise.  It starts from the logit
     guess, clipped into the bracket, when the target and the linear
-    predictors allow one, else from the bracket's midpoint.
+    predictors allow one, else from the bracket's midpoint.  The bracket
+    [-w, w] starts at w = 40.  Its ends are swept only when the start lies
+    outside it, a step would first leave it or the sweeps run out; if they
+    do not hold the target, w doubles and Newton restarts.
     """
     base = np.asarray(x, dtype=np.float64) @ _SELECTION_SLOPES
     n = base.shape[0]
-    lo, hi = -40.0, 40.0
-    for _ in range(20):
-        if _expit(lo + base).sum() <= target_n_a <= _expit(hi + base).sum():
-            break
-        lo, hi = lo * 2.0, hi * 2.0
-    else:
-        raise BracketFailure(f"target size {target_n_a} cannot be bracketed")
-
-    t = 0.5 * (lo + hi)
+    start = 0.0
     if 0 < target_n_a < n and np.isfinite(base).all():
-        t = min(max(float(np.log(target_n_a / (n - target_n_a)) - base.mean()), lo), hi)
-    for _ in range(200):
-        f = _expit(t + base)
-        e = float(f.sum()) - target_n_a
-        if abs(e) <= _CALIBRATION_TOL:
-            return t, f
-        lo, hi = (t, hi) if e < 0.0 else (lo, t)
-        slope = float((f * (1.0 - f)).sum())
-        step = t - e / slope if slope > 0.0 else np.nan  # NaN, like inf, bisects
-        t = step if lo < step < hi else 0.5 * (lo + hi)
-    raise BracketFailure("bisection failed to reach tolerance")
+        start = float(np.log(target_n_a / (n - target_n_a)) - base.mean())
+
+    def holds(w):
+        return _expit(-w + base).sum() <= target_n_a <= _expit(w + base).sum()
+
+    for w in (40.0 * 2.0**k for k in range(20)):
+        lo, hi = -w, w
+        t, held = min(max(start, lo), hi), False
+        # A start beyond the bracket suggests that the root is beyond it too.
+        if t != start and not (held := holds(w)):
+            continue
+        for _ in range(200):
+            f = _expit(t + base)
+            e = float(f.sum()) - target_n_a
+            if abs(e) <= _CALIBRATION_TOL:
+                return t, f
+            lo, hi = (t, hi) if e < 0.0 else (lo, t)
+            slope = float((f * (1.0 - f)).sum())
+            step = t - e / slope if slope > 0.0 else np.nan  # NaN, like inf, bisects
+            if not (lo < step < hi or held or (held := holds(w))):
+                break
+            t = step if lo < step < hi else 0.5 * (lo + hi)
+        else:
+            if held or holds(w):
+                raise BracketFailure("bisection failed to reach tolerance")
+    raise BracketFailure(f"target size {target_n_a} cannot be bracketed")
 
 
 def calibrate_pps(x3, target_n_b: int):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -21,7 +22,7 @@ import dsm.cli as cli
 import dsm.errors
 import dsm.simulation
 from dsm.cli import main
-from dsm.io import RunConfig, _read_rows, load_samples, write_csv, write_meta
+from dsm.io import RunConfig, load_samples, write_csv, write_meta
 
 
 # -- fixtures -----------------------------------------------------------
@@ -68,7 +69,8 @@ def _base_args(cmd, pa, pb, out, **extra):
 
 
 def _read_table(path):
-    header, rows = _read_rows(str(path))
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
     return header, rows
 
 
@@ -150,6 +152,72 @@ def test_load_samples_names_the_first_bad_cell_by_row(tmp_path, bad):
     pb.write_text("x1,d\n0.5,2.0\n")
     with pytest.raises(dsm.errors.ParseError, match=r"a\.csv:3: column 'y' is "):
         load_samples(str(pa), str(pb), RunConfig(covariates=("x1",)))
+
+
+def test_load_samples_reports_a_bad_cell_above_a_ragged_row(tmp_path):
+    # Rows are checked in reading order, so line 3's cell comes before
+    # line 5's width.
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    pa.write_text("x1,y\n1.0,2.0\n1.0,abc\n1.0,3.0\n1.0,2.0,9\n")
+    pb.write_text("x1,d\n0.5,2.0\n")
+    with pytest.raises(dsm.errors.ParseError, match=r"a\.csv:3: column 'y' is not a number: 'abc'"):
+        load_samples(str(pa), str(pb), RunConfig(covariates=("x1",)))
+
+
+def test_load_samples_reads_file_a_before_file_b(tmp_path):
+    # A's header fault is found before B is opened, so B's ragged row
+    # does not hide it.
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    pa.write_text("x1,z\n1.0,2.0\n")
+    pb.write_text("x1,d\n0.5,2.0\n0.5\n")
+    with pytest.raises(dsm.errors.SchemaMismatch, match=r"a\.csv: missing required columns \['y'\]"):
+        load_samples(str(pa), str(pb), RunConfig(covariates=("x1",)))
+
+
+def test_load_samples_keeps_values_and_lines_past_the_first_thousand_rows(tmp_path):
+    # Clean rows are parsed in bulk and the rest one by one: a padded cell
+    # on data row 1500 keeps its value, and a bad one on row 2400 its line.
+    cells = [repr(float(i)) for i in range(2500)]
+    cells[1500] = "\x1c1500.0\x1f"
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    pb.write_text("x1,d\n0.5,2.0\n")
+    pa.write_text("x1,y\n" + "".join(f"{c},1\n" for c in cells))
+    a, _ = load_samples(str(pa), str(pb), RunConfig(covariates=("x1",)))
+    assert a.x[:, 0].tobytes() == np.arange(2500.0).tobytes()
+    cells[2400] = "abc"
+    pa.write_text("x1,y\n" + "".join(f"{c},1\n" for c in cells))
+    with pytest.raises(dsm.errors.ParseError, match=r"a\.csv:2402: column 'x1' is not a number"):
+        load_samples(str(pa), str(pb), RunConfig(covariates=("x1",)))
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "x1,z\n", "x1,y,x1\n,,\n \n"])
+def test_load_samples_without_data_rows_says_so_before_any_header_fault(tmp_path, text):
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    pa.write_text(text)
+    pb.write_text("x1,d\n0.5,2.0\n")
+    with pytest.raises(dsm.errors.SchemaMismatch, match=r"a\.csv: file has no data rows$"):
+        load_samples(str(pa), str(pb), RunConfig(covariates=("x1",)))
+
+
+def test_load_samples_memory_is_about_the_parsed_columns(tmp_path):
+    # The load streams rows straight into the returned columns, so its
+    # traced peak stays within twice their bytes.
+    rng = np.random.default_rng(3)
+    xa, y, xb, d = _dataset(rng, n_a=20_000, n_b=40_000)
+    xa, xb = np.column_stack([xa, xa ** 2]), np.column_stack([xb, xb ** 2])
+    cov = ("x1", "x2", "x3", "x4")
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(pa, cov + ("y",), np.column_stack([xa, y]))
+    write_csv(pb, cov + ("d",), np.column_stack([xb, d]))
+    tracemalloc.start()
+    try:
+        a, b = load_samples(pa, pb, RunConfig(covariates=cov))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    parsed = a.x.nbytes + a.y.nbytes + b.x.nbytes + b.d.nbytes
+    assert parsed == 300_000 * 8
+    assert peak <= 2 * parsed, (peak, parsed)
 
 
 # -- exit codes ---------------------------------------------------------
@@ -1026,7 +1094,7 @@ def test_csv_float_round_trip(tmp_path):
     path = tmp_path / "x.csv"
     values = [0.1, 1.0 / 3.0, 1e-300, 12345.678901234567, -0.0, 2.0 ** 52]
     write_csv(path, ("v",), [(v,) for v in values])
-    _, rows = _read_rows(str(path))
+    _, rows = _read_table(path)
     got = [float(r[0]) for r in rows]
     assert got == values
     # Sign survives for negative zero too.

@@ -157,7 +157,7 @@ def test_theta0_meets_the_plain_bisection_contract(nonlinearity):
             _assert_same_contract(view * scale, n_a)
 
 
-@pytest.mark.parametrize("x, target", [
+_THETA0_EDGES = [
     pytest.param(np.zeros((10, 4)), 15.0, id="infeasible"),
     pytest.param(np.zeros((10, 4)), 10.0 * 1e-20, id="root_below_minus_40"),
     # 8000 equal units step the size by more than the tolerance per ulp.
@@ -166,9 +166,65 @@ def test_theta0_meets_the_plain_bisection_contract(nonlinearity):
     # Infinite linear predictors sweep fine but give no Newton start.
     pytest.param(np.vstack([np.zeros((8, 4)), np.full((1, 4), np.inf), np.full((1, 4), -np.inf)]),
                  3.0, id="infinite_covariates"),
-])
+]
+
+
+@pytest.mark.parametrize("x, target", _THETA0_EDGES)
 def test_theta0_failures_and_edges_match_plain_bisection(x, target):
     _assert_same_contract(x, target)
+
+
+def _bracket_first_newton(x, target):
+    """Oracle: calibrate_theta0's safeguarded Newton with the bracket's ends
+    swept, and doubled until they hold the target, before any step."""
+    base = np.asarray(x, dtype=np.float64) @ sim._SELECTION_SLOPES
+    n = base.shape[0]
+    lo, hi = -40.0, 40.0
+    for _ in range(20):
+        if sim._expit(lo + base).sum() <= target <= sim._expit(hi + base).sum():
+            break
+        lo, hi = lo * 2.0, hi * 2.0
+    else:
+        raise BracketFailure(f"target size {target} cannot be bracketed")
+    t = 0.5 * (lo + hi)
+    if 0 < target < n and np.isfinite(base).all():
+        t = min(max(float(np.log(target / (n - target)) - base.mean()), lo), hi)
+    for _ in range(200):
+        f = sim._expit(t + base)
+        e = float(f.sum()) - target
+        if abs(e) <= sim._CALIBRATION_TOL:
+            return t
+        lo, hi = (t, hi) if e < 0.0 else (lo, t)
+        slope = float((f * (1.0 - f)).sum())
+        step = t - e / slope if slope > 0.0 else np.nan
+        t = step if lo < step < hi else 0.5 * (lo + hi)
+    raise BracketFailure("bisection failed to reach tolerance")
+
+
+def _assert_bracket_first(x, target):
+    try:
+        expected = _bracket_first_newton(x, target)
+    except BracketFailure as err:
+        with pytest.raises(BracketFailure) as raised:
+            calibrate_theta0(x, target)
+        assert str(raised.value) == str(err)
+        return
+    assert repr(calibrate_theta0(x, target)) == repr(expected)
+
+
+@pytest.mark.parametrize("x, target", _THETA0_EDGES)
+def test_theta0_edges_equal_newton_on_a_bracket_swept_first(x, target):
+    # Sweeping the bracket's ends only when needed changes no bit.
+    _assert_bracket_first(x, target)
+
+
+@pytest.mark.parametrize("nonlinearity", NONLINEARITY_MODES)
+def test_theta0_equals_newton_on_a_bracket_swept_first(nonlinearity):
+    x = gen_population(ScenarioSpec(), np.random.default_rng(11)).x
+    view = observed_covariates(x, nonlinearity)
+    for scale in (1.0, 3.0, 30.0, 1e3, 1e6):
+        for n_a in (100, 500, 1000, 3000, 9000):
+            _assert_bracket_first(view * scale, n_a)
 
 
 @pytest.fixture
@@ -185,8 +241,8 @@ def sweeps(monkeypatch):
 
 
 def test_theta0_sweeps_and_population_reuses_the_last(sweeps):
-    # Plain bisection takes about 37 sweeps here; Newton, bracket included,
-    # about 7.
+    # Plain bisection takes about 37 sweeps here; Newton about 5, as the
+    # logit start lands near the root and the bracket ends go unswept.
     spec = ScenarioSpec(nonlinearity="none", n_a=500, n_b=1000)
     for s in range(5):
         x = gen_population(spec, np.random.default_rng([spec.seed, s])).x
@@ -195,7 +251,7 @@ def test_theta0_sweeps_and_population_reuses_the_last(sweeps):
         n_sweeps = len(sweeps)
         sweeps.clear()
         pop = gen_population(spec, np.random.default_rng([spec.seed, s]))
-        assert n_sweeps <= 8
+        assert n_sweeps <= 6
         assert len(sweeps) <= n_sweeps
         assert np.array_equal(pop.pi_a, sim._expit(theta0 + x @ sim._SELECTION_SLOPES))
 
