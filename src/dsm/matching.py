@@ -4,8 +4,11 @@ Every sample-B unit is matched, with replacement, to its M closest
 sample-A donors under Euclidean distance on the two score columns, and
 each sample-A unit to its J closest other sample-A units (used later for
 residual-variance estimation), by an exact k-d tree search (Friedman,
-Bentley & Finkel 1977) in O((n_a + n_b) * M) memory.  Distance ties are
-broken by ascending donor index, which keeps results reproducible.
+Bentley & Finkel 1977).  A unit whose M-th distance ties the farthest of
+its M + 1 tree candidates is settled among the donors in the tree's ball
+of that radius, so memory is O((n_a + n_b) * M) plus 1024 times the
+largest tie group.  Distance ties are broken by ascending donor index,
+which keeps results reproducible.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ class InnerNeighbors:
     l_sets: np.ndarray
 
 
+# Tied rows per ball query: memory is this many times the largest tie group.
+_BALL_BATCH = 1024
+
+
 def _sq_distances(points, donors):
     # One column pair at a time; donors is (n_donors, 2) or (n_points, k, 2).
     return (points[:, :1] - donors[..., 0]) ** 2 + (points[:, 1:] - donors[..., 1]) ** 2
@@ -66,21 +73,30 @@ def _nearest(points, donors, m):
     # Lazy: scipy.spatial loads scipy.linalg and scipy.sparse, slowing `import dsm`.
     from scipy.spatial import cKDTree
 
-    k = min(m + 4, len(donors))
-    # Candidates sorted by index, so the stable sort on recomputed d2
-    # breaks ties by lowest index whatever the tree's arithmetic.
-    cand = np.sort(cKDTree(donors).query(points, k=k)[1].reshape(-1, k), axis=1)
+    tree = cKDTree(donors)
+    k = min(m + 1, len(donors))
+    cand = tree.query(points, k=k)[1].reshape(-1, k)
     cand_d2 = _sq_distances(points, donors[cand])
-    # A donor left out is no nearer than the farthest candidate, up to the
-    # tree's rounding; a row whose m-th distance reaches that is redone.
-    last = cand_d2.max(axis=1) * (1 - 1e-12) if k < len(donors) else np.inf
-    order = np.argsort(cand_d2, axis=1, kind="stable")[:, :m]
+    # Ordered by recomputed d2, then index, whatever the tree's arithmetic.
+    order = np.lexsort((cand, cand_d2))[:, :m]
     idx = np.take_along_axis(cand, order, axis=1)
     dsq = np.take_along_axis(cand_d2, order, axis=1)
-    for r in np.flatnonzero(dsq[:, -1] >= last):
-        d2 = _sq_distances(points[r : r + 1], donors)[0]
-        idx[r] = np.argsort(d2, kind="stable")[:m]
-        dsq[r] = d2[idx[r]]
+    # A donor left out is no nearer than the farthest candidate, up to the
+    # tree's rounding; a row whose m-th distance reaches that is settled
+    # from the ball of radius sqrt(m-th d2), widened past the tree's
+    # rounding so it holds every donor at or under that d2.
+    last = cand_d2.max(axis=1) * (1 - 1e-12) if k < len(donors) else np.inf
+    tied = np.flatnonzero(dsq[:, -1] >= last)
+    for lo in range(0, len(tied), _BALL_BATCH):
+        rows = tied[lo : lo + _BALL_BATCH]
+        radii = np.sqrt(dsq[rows, -1]) * (1 + 1e-9)
+        balls = tree.query_ball_point(points[rows], radii, return_sorted=False)
+        for r, ball in zip(rows, balls):
+            ball = np.array(ball)
+            d2 = _sq_distances(points[r : r + 1], donors[ball])[0]
+            order = np.lexsort((ball, d2))[:m]
+            idx[r] = ball[order]
+            dsq[r] = d2[order]
     return idx, dsq
 
 

@@ -4,6 +4,7 @@ count-conservation and tie-breaking contracts."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -247,15 +248,16 @@ def test_impute_rejects_wrong_length():
 
 # -- the k-d tree search: candidates, recomputed distances, redone rows --
 
-def _spy_full_rows(monkeypatch):
-    """Record the row count of every full-width distance computation (a
-    row redone by a full sort), leaving results unchanged."""
+def _spy_full_rows(monkeypatch, widths=False):
+    """Record the point count (the donor count, given widths) of every
+    per-row distance computation (a tied row settled from its ball),
+    leaving results unchanged."""
     rows = []
     real = matching._sq_distances
 
     def spy(points, donors):
         if donors.ndim == 2:
-            rows.append(len(points))
+            rows.append(len(donors) if widths else len(points))
         return real(points, donors)
 
     monkeypatch.setattr(matching, "_sq_distances", spy)
@@ -263,7 +265,7 @@ def _spy_full_rows(monkeypatch):
 
 
 def test_more_exact_ties_than_candidates_match_oracle(monkeypatch):
-    # 12 copies of one donor outnumber the m + 4 (and j + 5) candidates the
+    # 12 copies of one donor outnumber the m + 1 (and j + 2) candidates the
     # tree returns, so the cutoff tie reaches past them; self is one of
     # the copies for each copied A-unit.
     rng = np.random.default_rng(12)
@@ -295,22 +297,27 @@ def _near_tie_donors():
 
 
 class _TreeRoundingTheOtherWay:
-    """Stands in for cKDTree: returns the m + 4 = 6 candidates a tree
-    whose own rounding put donor 6 behind donors 1-5 would return."""
+    """Stands in for cKDTree: returns the m + 1 = 3 candidates a tree
+    whose own rounding put donor 6 behind donors 1-5, and donor 5 ahead of
+    donors 2-4, would return, and the donors inside each queried radius."""
 
     def __init__(self, data):
-        pass
+        self.data = data
 
     def query(self, x, k):
-        assert k == 6
-        return None, np.arange(6)[None, :]
+        assert k == 3
+        return None, np.array([[0, 1, 5]])
+
+    def query_ball_point(self, x, r, return_sorted):
+        d2 = ((self.data[None, :, :] - x[:, None, :]) ** 2).sum(axis=2)
+        return [np.flatnonzero(row <= ri * ri).tolist() for row, ri in zip(d2, r)]
 
 
 def test_one_ulp_near_tie_at_the_mth_candidate_is_redone(monkeypatch):
     # The 2nd-nearest donor is 6, 1 ulp nearer than donors 1-4.  A tree
     # that ranks it after them leaves it out, and the farthest candidate
     # (donor 5) is only 1 ulp beyond the 2nd; the relative margin on the
-    # redo test still sends the row to the full sort.
+    # redo test still sends the row to the ball.
     za, zb = _near_tie_donors(), np.zeros((1, 2))
     scores = make_scores(za, zb)
     expected = oracle_match(za, zb, 2)
@@ -336,6 +343,55 @@ def test_candidate_subset_search_agrees_with_oracle_on_continuous_scores():
         assert np.array_equal(plan.distances, exact)
         inner = find_inner_neighbors(scores, 2 * m)
         assert np.array_equal(inner.l_sets, full_inner[:, : 2 * m])
+
+
+def lattice_scores(n_a, n_b, seed):
+    """Score rows of 4 covariates with 3 levels each: 81 distinct rows, so
+    nearly every row ties its m-th neighbour with its (m + 1)-th."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(4, 2))
+    return rng.integers(0, 3, (n_a, 4)) @ w, rng.integers(0, 3, (n_b, 4)) @ w
+
+
+def test_lattice_ties_are_settled_without_a_row_over_every_donor(monkeypatch):
+    za, zb = lattice_scores(2000, 4000, 11)
+    scores = make_scores(za, zb)
+    widths = _spy_full_rows(monkeypatch, widths=True)
+    assert np.array_equal(find_matches(scores, 3).j_sets, oracle_match(za, zb, 3))
+    assert np.array_equal(find_inner_neighbors(scores, 6).l_sets, oracle_inner(za, 6))
+    assert len(widths) > 4000 and max(widths) < len(za)
+
+
+def test_zero_radius_balls_match_oracle(monkeypatch):
+    # 9 copies of donor 0 outnumber the m + 1 and j + 2 candidates, so a B
+    # row on it, and each copy's own inner search, ties at d2 = 0.
+    rng = np.random.default_rng(13)
+    za = rng.normal(size=(60, 2))
+    za[rng.choice(np.arange(1, 60), size=8, replace=False)] = za[0]
+    zb = np.vstack([rng.normal(size=(10, 2)), za[:1], za[:1]])
+    scores = make_scores(za, zb)
+    widths = _spy_full_rows(monkeypatch, widths=True)
+    for m in (1, 3, 5):
+        assert np.array_equal(find_matches(scores, m).j_sets, oracle_match(za, zb, m))
+    for j in (1, 3, 5):
+        assert np.array_equal(find_inner_neighbors(scores, j).l_sets, oracle_inner(za, j))
+    assert 9 in widths and max(widths) < len(za)
+
+
+def test_lattice_ball_memory_is_bounded_by_the_batch():
+    # Ball lists hold one Python int per donor in the ball: 1024 tied rows
+    # at a time peak near 5 MiB here, every tied row at once near 16 MiB.
+    za, zb = lattice_scores(4000, 8000, 7)
+    scores = make_scores(za, zb)
+    find_matches(make_scores(za[:4], zb[:2]), 1)  # scipy.spatial loads untraced
+    tracemalloc.start()
+    try:
+        find_matches(scores, 3)
+        find_inner_neighbors(scores, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, peak
 
 
 def _run_python(*args):
