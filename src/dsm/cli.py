@@ -30,16 +30,18 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from . import __version__
 from .errors import DsmError, ExtremePropensityWarning
 from .io import RunConfig, load_samples, write_csv, write_meta
-from .matching import find_matches, impute
+from .estimators import point_estimates
+from .matching import find_inner_neighbors, find_matches, impute
 from .scores import build_score_matrix, fit_scores
-from .simulation import (
-    COVERAGE_GRID,
-    ScenarioSpec,
-    _analyse,
-    run_coverage_grid,
-    run_scenario_table,
+from .simulation import COVERAGE_GRID, ScenarioSpec, run_coverage_grid, run_scenario_table
+from .uncertainty import (
+    BootstrapSpec,
+    _worker_count,
+    analytic_variance,
+    bootstrap_ci_debiased,
+    bootstrap_ci_plain,
+    bootstrap_ci_population,
 )
-from .uncertainty import BootstrapSpec, _worker_count, analytic_variance, bootstrap_ci_plain
 
 _EXIT_SCHEMA = 2
 _EXIT_NUMERIC = 3
@@ -96,17 +98,24 @@ def cmd_estimate(args):
     _worker_count()  # a bad DSM_THREADS fails before any CSV is read
     a, b = _load(args)
     j = args.j if args.j is not None else 2 * args.m
-    fit, plan, inner, est, ci_deb, ci_pop = _analyse(
-        a, b, args.m, bs if args.debias else None, j=j)
+    fit = fit_scores(a, b)
+    smat = build_score_matrix(a, b, fit)
+    plan = find_matches(smat, args.m, d_b=b.d)
+    inner = find_inner_neighbors(smat, j)  # a bad j fails before any bootstrap
+    est = point_estimates(plan, fit, a, b)
     var = analytic_variance(plan, a.y, est.mu_b, inner)
     se = (var / plan.n_b) ** 0.5
-    ci_plain = bootstrap_ci_plain(plan, a.y, est.mu_b, bs)
+    intervals = [("ci_plain", bootstrap_ci_plain(plan, a.y, est.mu_b, bs))]
+    if args.debias:
+        intervals += [
+            ("ci_debiased", bootstrap_ci_debiased(plan, fit, a, b, est.mu_b_debiased, bs)),
+            ("ci_population", bootstrap_ci_population(plan, fit, a, b, est.mu_dsm_debiased, bs)),
+        ]
 
     rows = [(name, getattr(est, name), "", "") for name in _ESTIMATES
             if args.debias or "bias" not in name]
     rows += [("analytic_variance", var, "", ""), ("analytic_se", se, "", "")]
-    intervals = (("ci_plain", ci_plain), ("ci_debiased", ci_deb), ("ci_population", ci_pop))
-    rows += [(name, ci.point, ci.lo, ci.hi) for name, ci in intervals if ci is not None]
+    rows += [(name, ci.point, ci.lo, ci.hi) for name, ci in intervals]
     write_csv(args.out, ("quantity", "value", "lo", "hi"), rows)
 
     meta = {"seed": args.seed, **_fit_meta(args, fit, plan)}
@@ -254,8 +263,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"impute": cmd_impute, "estimate": cmd_estimate, "simulate": cmd_simulate}
     try:
-        if getattr(args, "seed", 0) < 0:  # impute has no seed
-            raise ValueError("seed must be nonnegative")
         # Checked before any work, so a run cannot finish with nowhere to write.
         out_dir = os.path.dirname(args.out) or "."
         if not os.path.isdir(out_dir):

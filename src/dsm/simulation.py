@@ -32,14 +32,14 @@ from .errors import (
     RhoOutOfRange,
 )
 from .estimators import point_estimates
-from .matching import find_inner_neighbors, find_matches
+from .matching import find_matches
 from .scores import SampleA, SampleB, _expit, build_score_matrix, fit_scores
 from .uncertainty import (
     BootstrapSpec,
+    _corrected_column,
+    _intervals,
     _one_bootstrap_thread,
     _worker_count,
-    bootstrap_ci_debiased,
-    bootstrap_ci_population,
 )
 
 __all__ = [
@@ -312,29 +312,6 @@ def observed_covariates(x, nonlinearity: str) -> np.ndarray:
 
 # -- Monte Carlo --------------------------------------------------------
 
-def _analyse(a: SampleA, b: SampleB, m: int, bs=None, cols_r=None, cols_y=None, j=None):
-    """The estimator chain on one pair of samples: fit both scores (the
-    propensity model on columns cols_r, the prognostic one on cols_y;
-    None = all), match each B unit to its m nearest A donors (B's design
-    weights routed to them) and, given j, each A unit to its j nearest
-    others, and compute every point estimate.  Given a BootstrapSpec, also
-    build the corrected sample-B-mean and population intervals.
-
-    Returns (fit, plan, inner, estimates, ci_sample_b, ci_population),
-    None for inner without j and for the intervals without bs.
-    """
-    fit = fit_scores(a, b, cols_r=cols_r, cols_y=cols_y)
-    smat = build_score_matrix(a, b, fit)
-    plan = find_matches(smat, m, d_b=b.d)
-    inner = None if j is None else find_inner_neighbors(smat, j)
-    est = point_estimates(plan, fit, a, b)
-    if bs is None:
-        return fit, plan, inner, est, None, None
-    ci_b = bootstrap_ci_debiased(plan, fit, a, b, est.mu_b_debiased, bs)
-    ci_p = bootstrap_ci_population(plan, fit, a, b, est.mu_dsm_debiased, bs)
-    return fit, plan, inner, est, ci_b, ci_p
-
-
 def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
     """Run replication s under each scenario; returns {scenario: ("ok",
     results) or ("fail", error name)}.
@@ -363,7 +340,7 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
         "target_pop": float(pop.cond_mean.mean()),
         "sample_a_mean": float(a.y.mean()),
     }
-    results = {}
+    results, columns, flags = {}, [], []
     for scenario in scenarios:
         cols_y, cols_r = _MODEL_COLUMNS[scenario[0]], _MODEL_COLUMNS[scenario[1]]
         try:
@@ -371,15 +348,21 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
                 # distorted-covariate modes raise extreme-propensity warnings wholesale;
                 # they are dropped (recording min/max propensity is ROADMAP item 5)
                 warnings.simplefilter("ignore", ExtremePropensityWarning)
-                *_, est, ci_b, ci_p = _analyse(a, b, spec.m, bs, cols_r, cols_y)
+                fit = fit_scores(a, b, cols_r=cols_r, cols_y=cols_y)
+                plan = find_matches(build_score_matrix(a, b, fit), spec.m, d_b=b.d)
+                est = point_estimates(plan, fit, a, b)
         except DsmError as err:
             results[scenario] = ("fail", type(err).__name__)
             continue
         out = dict(shared, **{k: getattr(est, k) for k in _TARGET_OF if k not in shared})
-        if bs is not None:
-            out["cover_b"] = float(ci_b.lo < out["target_b"] < ci_b.hi)
-            out["cover_pop"] = float(ci_p.lo < out["target_pop"] < ci_p.hi)
         results[scenario] = ("ok", out)
+        if bs is not None:
+            columns += [_corrected_column(plan, fit, a, b, est.mu_b_debiased, weighted=False),
+                        _corrected_column(plan, fit, a, b, est.mu_dsm_debiased, weighted=True)]
+            flags += [(out, "cover_b", "target_b"), (out, "cover_pop", "target_pop")]
+    # Every scenario's intervals share the units and boot_seed, so one block serves them all.
+    for (out, flag, target), ci in zip(flags, _intervals(bs, columns) if columns else ()):
+        out[flag] = float(ci.lo < out[target] < ci.hi)
     return results
 
 

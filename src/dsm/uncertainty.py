@@ -4,8 +4,9 @@ Matching with replacement makes the naive resampling bootstrap
 inconsistent, because redrawing units changes how often each donor is
 reused.  The wild bootstrap below keeps the match structure fixed and
 perturbs unit-level residual terms with two-point multiplier weights
-whose first three moments are (0, 1, 1).  An analytic variance built
-from local residual-variance estimates is provided as a cross-check.
+whose first three moments are (0, 1, 1); intervals over the same units
+and seed share one block of weights, drawn once.  An analytic variance
+built from local residual-variance estimates is provided as a cross-check.
 """
 
 from __future__ import annotations
@@ -151,40 +152,45 @@ def _one_bootstrap_thread() -> None:
 
 
 def _draw_range(spec: BootstrapSpec, resid, norm, out, lo: int, hi: int) -> None:
-    """Fill out[lo:hi] with draws lo..hi-1 of _centered_draws.
+    """Fill out[:, lo:hi] with draws lo..hi-1 of _centered_draws.
 
     PCG64DXSM yields one 64-bit word per step and each uniform takes one
     word, so advancing it lo*n steps starts this generator at uniform
     lo*n of the single-generator (n_draws, n) block.
     """
-    n = resid.shape[0]
+    n, k = resid.shape
     gen = np.random.Generator(np.random.PCG64DXSM(spec.seed).advance(lo * n))
     chunk = max(1, _CHUNK_ELEMS // max(1, n))
     buf = np.empty((min(chunk, hi - lo), n))
+    prod = buf if k == 1 else np.empty_like(buf)  # in place: one chunk per thread for k = 1
     for pos in range(lo, hi, chunk):
         w = _mammen_fill(gen, buf[: hi - pos])  # chunk rows, fewer in the last
-        w *= resid
-        # Row-wise multiply-reduce, not a matvec: BLAS accumulation order
-        # varies with the row count, which would make the draws depend on
-        # the chunk size at the last ulp.
-        out[pos : pos + len(w)] = w.sum(axis=1) / norm
+        p = prod[: len(w)]
+        for c in range(k):
+            np.multiply(w, resid[:, c], out=p)
+            # Row-wise multiply-reduce, not a matvec: BLAS accumulation order
+            # varies with the row count, which would make the draws depend on
+            # the chunk size at the last ulp.
+            out[c, pos : pos + len(w)] = p.sum(axis=1) / norm[c]
 
 
 def _centered_draws(spec: BootstrapSpec, resid, norm):
-    """Bootstrap draws q_b = (w . resid) / norm, one multiplier weight per
-    unit-level residual term.
+    """Bootstrap draws q_b = (w . resid[:, c]) / norm[c] for each column c
+    of the (n_units, k) residual terms, one (k, n_draws) array; every
+    column shares draw b's multiplier weights, one per unit.
 
     Multiplier weights come from one PCG64DXSM stream seeded by the seed
     (through SeedSequence), which jumps ahead exactly: draw b always uses
-    row b of one (n_draws, n_units) uniform block.  [0, n_draws) is split
-    into contiguous draw ranges, one per thread (_worker_count threads, no
-    more than draws; one thread gets one range, drawn in the calling
-    thread without a pool), each starting its own generator at its first
-    row's offset in the block and working through it in cache-sized
-    chunks.  So identical seeds give bit-identical draws whatever the
-    thread count or chunk size.
+    row b of one (n_draws, n_units) uniform block, drawn once for all k
+    columns.  [0, n_draws) is split into contiguous draw ranges, one per
+    thread (_worker_count threads, no more than draws; one thread gets
+    one range, drawn in the calling thread without a pool), each starting
+    its own generator at its first row's offset in the block and working
+    through it in cache-sized chunks.  So identical seeds give
+    bit-identical draws whatever the thread count, chunk size or the
+    other columns.
     """
-    out = np.empty(spec.n_draws)
+    out = np.empty((resid.shape[1], spec.n_draws))
     threads = min(_worker_count(), spec.n_draws)
     fill = partial(_draw_range, spec, resid, norm, out)
     if threads == 1:
@@ -200,11 +206,15 @@ def _centered_draws(spec: BootstrapSpec, resid, norm):
     return out
 
 
-def _interval(point: float, draws: np.ndarray, alpha: float) -> IntervalReport:
-    q_lo, q_hi = (float(q) for q in np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0]))
-    return IntervalReport(
-        point=point, lo=point - q_hi, hi=point - q_lo, q_lo=q_lo, q_hi=q_hi, draws=draws
-    )
+def _intervals(spec: BootstrapSpec, columns) -> list:
+    """One IntervalReport per (point, residual terms, norm) column, all
+    from one multiplier block: the columns must share their units."""
+    points, resids, norms = zip(*columns)
+    # Rows of a (k, n) array: each column of its (n, k) transpose is contiguous.
+    draws = _centered_draws(spec, np.array(resids).T, np.array(norms, dtype=np.float64))
+    qs = np.quantile(draws, [spec.alpha / 2.0, 1.0 - spec.alpha / 2.0], axis=1).T.tolist()
+    return [IntervalReport(point=p, lo=p - q_hi, hi=p - q_lo, q_lo=q_lo, q_hi=q_hi, draws=d)
+            for p, d, (q_lo, q_hi) in zip(points, draws, qs)]
 
 
 def bootstrap_ci_plain(plan: MatchPlan, y_a, point: float, spec: BootstrapSpec) -> IntervalReport:
@@ -216,23 +226,24 @@ def bootstrap_ci_plain(plan: MatchPlan, y_a, point: float, spec: BootstrapSpec) 
     y_a = np.asarray(y_a, dtype=np.float64)
     if y_a.shape != (plan.n_a,):
         raise ValueError("y_a must have one outcome per donor")
-    resid_a = plan.k_counts * (y_a - point) / plan.m
-    draws = _centered_draws(spec, resid_a, plan.n_b)
-    return _interval(point, draws, spec.alpha)
+    return _intervals(spec, [(point, plan.k_counts * (y_a - point) / plan.m, plan.n_b)])[0]
 
 
-def _corrected_interval(plan, fit, a, b, point, spec, k, d, norm) -> IntervalReport:
-    """Interval for a bias-corrected mean, unweighted or design-weighted.
+def _corrected_column(plan, fit, a, b, point, weighted: bool):
+    """(point, residual terms, norm) of a bias-corrected mean, for _intervals.
 
     A-units contribute weighted prognostic residuals k_i*(y_i - g_i)/m,
     B-units contribute d_i*(g_i - point); both sides get their own
-    multiplier weights and the sum is divided by norm.
+    multiplier weights and the sum is divided by the norm.  The sample-B
+    mean takes donor counts k_counts, unit weights and n_b; the
+    population mean (weighted) takes k_weighted, the B weights d and the
+    estimated population size sum(d).
     """
+    k, d, norm = plan.k_counts, 1.0, plan.n_b
+    if weighted:
+        k, d, norm = plan.k_weighted, b.d, float(b.d.sum())
     _, _, g_a, g_b = fit._scores(a, b)
-    resid_a = k * (a.y - g_a) / plan.m
-    resid_b = d * (g_b - point)
-    draws = _centered_draws(spec, np.concatenate([resid_a, resid_b]), norm)
-    return _interval(point, draws, spec.alpha)
+    return point, np.concatenate([k * (a.y - g_a) / plan.m, d * (g_b - point)]), norm
 
 
 def bootstrap_ci_debiased(
@@ -243,9 +254,8 @@ def bootstrap_ci_debiased(
     point: float,
     spec: BootstrapSpec,
 ) -> IntervalReport:
-    """Interval for the bias-corrected sample-B mean: donor counts
-    k_counts, unit B weights, averaged over n_b."""
-    return _corrected_interval(plan, fit, a, b, point, spec, plan.k_counts, 1.0, plan.n_b)
+    """Interval for the bias-corrected sample-B mean."""
+    return _intervals(spec, [_corrected_column(plan, fit, a, b, point, weighted=False)])[0]
 
 
 def bootstrap_ci_population(
@@ -256,10 +266,6 @@ def bootstrap_ci_population(
     point: float,
     spec: BootstrapSpec,
 ) -> IntervalReport:
-    """Interval for the bias-corrected population mean: weighted donor
-    counts k_weighted, B weights d_i, normalized by the estimated
-    population size sum(d).  With unit weights the draws coincide with
-    bootstrap_ci_debiased under the same seed."""
-    return _corrected_interval(
-        plan, fit, a, b, point, spec, plan.k_weighted, b.d, float(b.d.sum())
-    )
+    """Interval for the bias-corrected population mean.  With unit weights
+    the draws coincide with bootstrap_ci_debiased under the same seed."""
+    return _intervals(spec, [_corrected_column(plan, fit, a, b, point, weighted=True)])[0]

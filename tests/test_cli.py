@@ -421,6 +421,23 @@ def test_negative_seed_exits_numeric(sample_files, tmp_path):
     assert main(args) == 3
 
 
+def test_simulate_negative_seed_exits_numeric_before_running(tmp_path, monkeypatch, capsys):
+    # ScenarioSpec rejects the seed before any replication runs.
+    monkeypatch.setattr(cli, "run_scenario_table", _never_called)
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--table", "1", "--seed", "-1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "dsm: seed must be nonnegative\n"
+    assert not out.exists()
+
+
+def test_negative_seed_with_missing_out_dir_reports_the_directory(sample_files, tmp_path, capsys):
+    # The output directory is checked before the command builds its specs.
+    pa, pb = sample_files
+    out = tmp_path / "absent" / "o.csv"
+    assert main(_base_args("estimate", pa, pb, out, seed=-1)) == 2
+    assert capsys.readouterr().err == f"dsm: {out.parent}: no such directory\n"
+
+
 def test_seed_beyond_128_bits_draws_finite_intervals(sample_files, tmp_path):
     # estimate's --seed, like simulate's, takes any nonnegative int.
     pa, pb = sample_files
@@ -461,7 +478,8 @@ def test_bad_j_fails_before_any_bootstrap(sample_files, tmp_path, monkeypatch, c
     def never(*args, **kwargs):
         raise AssertionError("a bootstrap ran before j was checked")
 
-    monkeypatch.setattr(dsm.simulation, "bootstrap_ci_debiased", never)
+    for name in ("bootstrap_ci_plain", "bootstrap_ci_debiased", "bootstrap_ci_population"):
+        monkeypatch.setattr(cli, name, never)
     pa, pb = sample_files
     out = tmp_path / "o.csv"
     assert main(_base_args("estimate", pa, pb, out, j=5000)) == 3

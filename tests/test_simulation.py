@@ -539,7 +539,8 @@ def test_pool_never_outnumbers_replications(monkeypatch):
                     reason="the spy reaches the pool workers through fork")
 def test_pool_workers_bootstrap_on_one_thread(monkeypatch, tmp_path):
     # With DSM_THREADS=2 this process would split each bootstrap in two
-    # draw ranges; a replication in a pool worker draws it in one.
+    # draw ranges; a replication in a pool worker draws it in one, and
+    # draws one block for the intervals of all its scenarios.
     monkeypatch.setenv("DSM_THREADS", "2")
     log = tmp_path / "ranges"
     real = unc._draw_range
@@ -552,10 +553,59 @@ def test_pool_workers_bootstrap_on_one_thread(monkeypatch, tmp_path):
     monkeypatch.setattr(unc, "_draw_range", spy)
     run_scenario_table(replace(SMALL, n_reps=2, n_boot=30))
     rows = [line.split() for line in log.read_text().splitlines()]
-    assert len(rows) == 2 * 4 * 2
+    assert len(rows) == 2
     for pid, lo, hi, n_draws in rows:
         assert pid != str(os.getpid())
         assert (lo, hi) == ("0", n_draws)
+
+
+@pytest.mark.parametrize("failing", ["FT", "FF"])
+def test_scenario_intervals_do_not_depend_on_the_other_scenarios(monkeypatch, failing):
+    # A replication draws one multiplier block for the intervals of all of
+    # its scenarios.  A scenario's intervals and report are bitwise the
+    # same run alone, with the other three, or with another scenario
+    # failing in replication 1, which adds no column to that draw.
+    from dsm.errors import Separation
+
+    real_intervals, drawn = sim._intervals, []
+
+    def recorded(bs, columns):
+        reports = real_intervals(bs, columns)
+        drawn.append([(r.lo, r.hi) for r in reports])
+        return reports
+
+    monkeypatch.setattr(sim, "_intervals", recorded)
+    spec = replace(SMALL, n_reps=3, n_boot=40)
+    together = run_scenario_table(spec)
+    joint, drawn[:] = list(drawn), []
+    assert [len(d) for d in joint] == [8, 8, 8]
+    for i, sc in enumerate(sim.SCENARIOS):
+        assert pickle.dumps(run_monte_carlo(spec, sc)) == pickle.dumps(together[sc]), sc
+        assert drawn == [d[2 * i : 2 * i + 2] for d in joint], sc
+        drawn.clear()
+
+    real_fit, fits = sim.fit_scores, []
+    model = tuple(sim._MODEL_COLUMNS[letter] for letter in failing)  # (cols_y, cols_r)
+
+    def flaky(*args, cols_r, cols_y, **kwargs):
+        if (cols_y, cols_r) == model:
+            fits.append(None)
+            if len(fits) == 2:
+                raise Separation("forced")
+        return real_fit(*args, cols_r=cols_r, cols_y=cols_y, **kwargs)
+
+    monkeypatch.setattr(sim, "fit_scores", flaky)
+    reports = run_scenario_table(spec)
+    gone = 2 * sim.SCENARIOS.index(failing)
+    assert drawn == [joint[0], joint[1][:gone] + joint[1][gone + 2 :], joint[2]]
+    for sc in sim.SCENARIOS:
+        if sc != failing:
+            assert pickle.dumps(reports[sc]) == pickle.dumps(together[sc]), sc
+    assert reports[failing].failures == ("Separation",) and reports[failing].n_ok == 2
+    for field in ("estimates", "targets", "coverage"):
+        for key, series in getattr(together[failing], field).items():
+            got = getattr(reports[failing], field)[key]
+            assert np.array_equal(got, np.delete(series, 1)), (field, key)
 
 
 def test_bootstrap_coverage_flags_present():

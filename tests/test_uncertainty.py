@@ -269,12 +269,23 @@ def test_chunk_size_invariance(monkeypatch):
             spec = BootstrapSpec(n_draws=n_draws, seed=9)
             resid = plan.k_counts * (y - 0.1) / plan.m
             expected = one_generator_draws(9, resid, plan.n_b, n_draws)
+            # The joint kernel: the plain column among others with their
+            # own residuals and norms, each drawn as if it were alone.
+            columns = [(0.1, resid, plan.n_b)] + [
+                (float(c), rng.normal(size=n_a), c + 2.5) for c in range(3)
+            ]
+            joint_expected = [one_generator_draws(9, r, norm, n_draws) for _, r, norm in columns]
             for chunk_elems in (unc._CHUNK_ELEMS, 16, 1):
                 monkeypatch.setattr(unc, "_CHUNK_ELEMS", chunk_elems)
                 for threads in (1, 2, 3, 4):
                     monkeypatch.setenv("DSM_THREADS", str(threads))
                     draws = bootstrap_ci_plain(plan, y, 0.1, spec).draws
                     assert np.array_equal(draws, expected), (n_a, n_draws, chunk_elems, threads)
+                    reports = unc._intervals(spec, columns)
+                    assert [r.point for r in reports] == [point for point, _, _ in columns]
+                    for c, (report, want) in enumerate(zip(reports, joint_expected)):
+                        assert np.array_equal(report.draws, want), (
+                            n_a, n_draws, chunk_elems, threads, c)
             monkeypatch.undo()
     finally:
         sys.setswitchinterval(interval)
@@ -285,13 +296,13 @@ def test_centered_draws_memory_is_one_chunk_per_thread(monkeypatch):
     # the traced peak stays near threads * _CHUNK_ELEMS float64 values
     # whatever the draw count.
     n = 12_000
-    resid = np.random.default_rng(32).normal(size=n)
+    resid = np.random.default_rng(32).normal(size=(n, 1))
     spec = BootstrapSpec(n_draws=200, seed=5)
     for threads in (1, 2):
         monkeypatch.setenv("DSM_THREADS", str(threads))
         tracemalloc.start()
         try:
-            unc._centered_draws(spec, resid, float(n))
+            unc._centered_draws(spec, resid, np.array([float(n)]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
