@@ -6,9 +6,11 @@ each sample-A unit to its J closest other sample-A units (used later for
 residual-variance estimation), by an exact k-d tree search (Friedman,
 Bentley & Finkel 1977).  A unit whose M-th distance ties the farthest of
 its M + 1 tree candidates is settled among the donors in the tree's ball
-of that radius, so memory is O((n_a + n_b) * M) plus 1024 times the
-largest tie group.  Distance ties are broken by ascending donor index,
-which keeps results reproducible.
+of that radius.  Query rows are searched in blocks against one tree and
+written into the preallocated results, so memory is the results plus
+temporaries for one block of rows, and 1024 times the largest tie group.
+Distance ties are broken by ascending donor index, which keeps results
+reproducible.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ class InnerNeighbors:
 
 # Tied rows per ball query: memory is this many times the largest tie group.
 _BALL_BATCH = 1024
+# Query rows per search block: the search's temporaries scale with this, not n.
+_BLOCK = 16384
 
 
 def _sq_distances(points, donors):
@@ -68,36 +72,40 @@ def _sq_distances(points, donors):
 
 
 def _nearest(points, donors, m):
-    """Indices and squared distances of each point's m nearest donors,
-    ordered by (distance, donor index)."""
+    """Yield (rows, indices, squared distances) of each block of points'
+    m nearest donors, ordered by (distance, donor index), rows being the
+    block's slice of points.  Each row's result depends on that row alone,
+    so the blocking is invisible."""
     # Lazy: scipy.spatial loads scipy.linalg and scipy.sparse, slowing `import dsm`.
     from scipy.spatial import cKDTree
 
     tree = cKDTree(donors)
     k = min(m + 1, len(donors))
-    cand = tree.query(points, k=k)[1].reshape(-1, k)
-    cand_d2 = _sq_distances(points, donors[cand])
-    # Ordered by recomputed d2, then index, whatever the tree's arithmetic.
-    order = np.lexsort((cand, cand_d2))[:, :m]
-    idx = np.take_along_axis(cand, order, axis=1)
-    dsq = np.take_along_axis(cand_d2, order, axis=1)
-    # A donor left out is no nearer than the farthest candidate, up to the
-    # tree's rounding; a row whose m-th distance reaches that is settled
-    # from the ball of radius sqrt(m-th d2), widened past the tree's
-    # rounding so it holds every donor at or under that d2.
-    last = cand_d2.max(axis=1) * (1 - 1e-12) if k < len(donors) else np.inf
-    tied = np.flatnonzero(dsq[:, -1] >= last)
-    for lo in range(0, len(tied), _BALL_BATCH):
-        rows = tied[lo : lo + _BALL_BATCH]
-        radii = np.sqrt(dsq[rows, -1]) * (1 + 1e-9)
-        balls = tree.query_ball_point(points[rows], radii, return_sorted=False)
-        for r, ball in zip(rows, balls):
-            ball = np.array(ball)
-            d2 = _sq_distances(points[r : r + 1], donors[ball])[0]
-            order = np.lexsort((ball, d2))[:m]
-            idx[r] = ball[order]
-            dsq[r] = d2[order]
-    return idx, dsq
+    for lo in range(0, len(points), _BLOCK):
+        block = points[lo : lo + _BLOCK]
+        cand = tree.query(block, k=k)[1].reshape(-1, k)
+        cand_d2 = _sq_distances(block, donors[cand])
+        # Ordered by recomputed d2, then index, whatever the tree's arithmetic.
+        order = np.lexsort((cand, cand_d2))[:, :m]
+        idx = np.take_along_axis(cand, order, axis=1)
+        dsq = np.take_along_axis(cand_d2, order, axis=1)
+        # A donor left out is no nearer than the farthest candidate, up to the
+        # tree's rounding; a row whose m-th distance reaches that is settled
+        # from the ball of radius sqrt(m-th d2), widened past the tree's
+        # rounding so it holds every donor at or under that d2.
+        last = cand_d2.max(axis=1) * (1 - 1e-12) if k < len(donors) else np.inf
+        tied = np.flatnonzero(dsq[:, -1] >= last)
+        for t in range(0, len(tied), _BALL_BATCH):
+            rows = tied[t : t + _BALL_BATCH]
+            radii = np.sqrt(dsq[rows, -1]) * (1 + 1e-9)
+            balls = tree.query_ball_point(block[rows], radii, return_sorted=False)
+            for r, ball in zip(rows, balls):
+                ball = np.array(ball)
+                d2 = _sq_distances(block[r : r + 1], donors[ball])[0]
+                order = np.lexsort((ball, d2))[:m]
+                idx[r] = ball[order]
+                dsq[r] = d2[order]
+        yield slice(lo, lo + len(block)), idx, dsq
 
 
 def find_matches(scores: ScoreMatrix, m: int, d_b=None) -> MatchPlan:
@@ -131,14 +139,17 @@ def find_matches(scores: ScoreMatrix, m: int, d_b=None) -> MatchPlan:
     if d_b.shape != (n_b,):
         raise ValueError("d_b must have one weight per sample-B unit")
 
-    idx, dsq = _nearest(zb, za, m)
-    flat = idx.ravel()
+    j_sets, distances = np.empty((n_b, m), dtype=np.intp), np.empty((n_b, m))
+    for rows, idx, dsq in _nearest(zb, za, m):
+        j_sets[rows] = idx
+        np.sqrt(dsq, out=distances[rows])
+    flat = j_sets.ravel()
     k_counts = np.bincount(flat, minlength=n_a)
     k_weighted = np.bincount(flat, weights=np.repeat(d_b, m), minlength=n_a)
     return MatchPlan(
         m=m,
-        j_sets=idx,
-        distances=np.sqrt(dsq),
+        j_sets=j_sets,
+        distances=distances,
         k_counts=k_counts,
         k_weighted=k_weighted,
     )
@@ -154,10 +165,12 @@ def find_inner_neighbors(scores: ScoreMatrix, j: int) -> InnerNeighbors:
         raise JTooLarge(f"j={j} exceeds the {n_a - 1} other donors available")
     # The j + 1 nearest by (distance, index) hold the j nearest others: drop
     # self by index (a duplicate row ties it at zero), else the last one.
-    idx, _ = _nearest(za, za, j + 1)
-    keep = idx != np.arange(n_a)[:, None]
-    keep[keep.all(axis=1), -1] = False
-    return InnerNeighbors(j=j, l_sets=idx[keep].reshape(-1, j))
+    l_sets = np.empty((n_a, j), dtype=np.intp)
+    for rows, idx, _ in _nearest(za, za, j + 1):
+        keep = idx != np.arange(rows.start, rows.stop)[:, None]
+        keep[keep.all(axis=1), -1] = False
+        l_sets[rows] = idx[keep].reshape(-1, j)
+    return InnerNeighbors(j=j, l_sets=l_sets)
 
 
 def impute(plan: MatchPlan, y_a) -> np.ndarray:

@@ -202,7 +202,16 @@ def _standardize_columns(x):
 
 
 def _design(x, mu, sd):
-    return np.column_stack([np.ones(x.shape[0]), (x - mu) / sd])
+    """[1, (x - mu) / sd] built in one array, in the memory order that
+    np.column_stack gives (x's own: F when x is column-major, else C):
+    the fit's BLAS calls pick their kernels, and so their bits, by layout."""
+    n, p = x.shape
+    column_major = n > 1 and p > 1 and abs(x.strides[0]) < abs(x.strides[1])
+    dm = np.empty((n, p + 1), order="F" if column_major else "C")
+    dm[:, 0] = 1.0
+    np.subtract(x, mu, out=dm[:, 1:])
+    dm[:, 1:] /= sd
+    return dm
 
 
 def _newton_propensity(x, n_a, d):

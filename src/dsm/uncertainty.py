@@ -151,8 +151,10 @@ def _one_bootstrap_thread() -> None:
     os.environ["DSM_THREADS"] = "1"
 
 
-def _draw_range(spec: BootstrapSpec, resid, norm, out, lo: int, hi: int) -> None:
-    """Fill out[:, lo:hi] with draws lo..hi-1 of _centered_draws.
+def _draw_range(spec: BootstrapSpec, resid, norm, out, buf, lo: int, hi: int) -> None:
+    """Fill out[:, lo:hi] with draws lo..hi-1 of _centered_draws, a chunk of
+    buf.shape[1] draws at a time: buf[0] holds a chunk's weights and
+    buf[-1] its products (the weights themselves, in place, for one column).
 
     PCG64DXSM yields one 64-bit word per step and each uniform takes one
     word, so advancing it lo*n steps starts this generator at uniform
@@ -160,12 +162,9 @@ def _draw_range(spec: BootstrapSpec, resid, norm, out, lo: int, hi: int) -> None
     """
     n, k = resid.shape
     gen = np.random.Generator(np.random.PCG64DXSM(spec.seed).advance(lo * n))
-    chunk = max(1, _CHUNK_ELEMS // max(1, n))
-    buf = np.empty((min(chunk, hi - lo), n))
-    prod = buf if k == 1 else np.empty_like(buf)  # in place: one chunk per thread for k = 1
-    for pos in range(lo, hi, chunk):
-        w = _mammen_fill(gen, buf[: hi - pos])  # chunk rows, fewer in the last
-        p = prod[: len(w)]
+    for pos in range(lo, hi, buf.shape[1]):
+        w = _mammen_fill(gen, buf[0, : hi - pos])  # chunk rows, fewer in the last
+        p = buf[-1, : len(w)]
         for c in range(k):
             np.multiply(w, resid[:, c], out=p)
             # Row-wise multiply-reduce, not a matvec: BLAS accumulation order
@@ -183,26 +182,32 @@ def _centered_draws(spec: BootstrapSpec, resid, norm):
     (through SeedSequence), which jumps ahead exactly: draw b always uses
     row b of one (n_draws, n_units) uniform block, drawn once for all k
     columns.  [0, n_draws) is split into contiguous draw ranges, one per
-    thread (_worker_count threads, no more than draws; one thread gets
-    one range, drawn in the calling thread without a pool), each starting
-    its own generator at its first row's offset in the block and working
-    through it in cache-sized chunks.  So identical seeds give
+    thread (_worker_count threads, no more than draws), each starting its
+    own generator at its first row's offset in the block and working
+    through it in cache-sized chunks.  The calling thread allocates every
+    range's chunk buffers and draws the first range itself, beside a pool
+    of threads - 1 (no pool for one thread).  So identical seeds give
     bit-identical draws whatever the thread count, chunk size or the
     other columns.
     """
-    out = np.empty((resid.shape[1], spec.n_draws))
-    threads = min(_worker_count(), spec.n_draws)
+    (n, k), n_draws = resid.shape, spec.n_draws
+    out = np.empty((k, n_draws))
+    threads = min(_worker_count(), n_draws)
+    edges = [n_draws * t // threads for t in range(threads + 1)]
+    chunk = max(1, _CHUNK_ELEMS // max(1, n))
+    bufs = [np.empty((min(k, 2), min(chunk, hi - lo), n)) for lo, hi in zip(edges, edges[1:])]
     fill = partial(_draw_range, spec, resid, norm, out)
     if threads == 1:
-        fill(0, spec.n_draws)
+        fill(bufs[0], 0, n_draws)
         return out
     # Lazy: concurrent.futures loads logging, threading and more, slowing `import dsm`.
     from concurrent.futures import ThreadPoolExecutor
 
-    edges = [spec.n_draws * t // threads for t in range(threads + 1)]
-    with ThreadPoolExecutor(threads) as pool:
+    with ThreadPoolExecutor(threads - 1) as pool:
         # numpy releases the GIL while it generates and reduces.
-        list(pool.map(fill, edges[:-1], edges[1:]))
+        rest = pool.map(fill, bufs[1:], edges[1:-1], edges[2:])
+        fill(bufs[0], edges[0], edges[1])
+        list(rest)
     return out
 
 

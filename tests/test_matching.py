@@ -394,6 +394,69 @@ def test_lattice_ball_memory_is_bounded_by_the_batch():
     assert peak <= 10 * 2**20, peak
 
 
+def _block_edge_instance():
+    """Lattice scores (ties at every cutoff) with duplicate rows across the
+    block edges at 7 and 14: A rows 6 and 7, B rows 6 and 7, and B rows 13
+    and 14 each sit at zero distance from each other and from a donor."""
+    za, zb = lattice_scores(60, 100, 17)
+    za[7] = za[6]
+    za[13:15] = za[0]
+    zb[6:8] = za[6]
+    zb[13:15] = za[0]
+    return za, zb
+
+
+@pytest.mark.parametrize("block", [1, 7, matching._BLOCK])
+def test_searches_in_blocks_equal_one_block_and_the_oracle(monkeypatch, block):
+    za, zb = _block_edge_instance()
+    d_b = np.random.default_rng(18).uniform(1.0, 5.0, len(zb))
+    scores = make_scores(za, zb)
+
+    def search():
+        plans = [find_matches(scores, m, d_b=d_b) for m in (1, 3, 5)]
+        return plans, [find_inner_neighbors(scores, j).l_sets for j in (1, 6)]
+
+    monkeypatch.setattr(matching, "_BLOCK", len(za) + len(zb))
+    one_plans, one_inner = search()
+    monkeypatch.setattr(matching, "_BLOCK", block)
+    plans, inner = search()
+    for m, plan, one in zip((1, 3, 5), plans, one_plans):
+        assert np.array_equal(plan.j_sets, oracle_match(za, zb, m))
+        for field in ("j_sets", "distances", "k_counts", "k_weighted"):
+            got, want = getattr(plan, field), getattr(one, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (m, field)
+    for j, l_sets, one in zip((1, 6), inner, one_inner):
+        assert np.array_equal(l_sets, oracle_inner(za, j))
+        assert l_sets.dtype == one.dtype and l_sets.tobytes() == one.tobytes()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_search_memory_is_the_outputs_plus_one_block(monkeypatch):
+    # 80 blocks of B rows and 40 of A rows: past the outputs, the weight
+    # copies find_matches makes (under half the outputs) and the tree's
+    # copy of the donors, the traced peak is at most 16 values per block
+    # row and candidate.  One block of every row peaks above twice this bound.
+    monkeypatch.setattr(matching, "_BLOCK", 512)
+    rng = np.random.default_rng(19)
+    za, zb = rng.normal(size=(20_000, 2)), rng.normal(size=(40_000, 2))
+    scores = make_scores(za, zb)
+    find_matches(make_scores(za[:4], zb[:2]), 1)  # scipy.spatial loads untraced
+    tree = 1.5 * za.nbytes
+    m, j = 3, 6
+    plan, peak = _traced_peak(lambda: find_matches(scores, m))
+    out = sum(getattr(plan, f).nbytes for f in ("j_sets", "distances", "k_counts", "k_weighted"))
+    assert peak <= 1.5 * out + tree + 16 * 512 * (m + 1) * 8, (peak, out)
+    inner, peak = _traced_peak(lambda: find_inner_neighbors(scores, j))
+    assert peak <= inner.l_sets.nbytes + tree + 16 * 512 * (j + 2) * 8, (peak, inner.l_sets.nbytes)
+
+
 def _run_python(*args):
     root = Path(__file__).resolve().parents[1]
     return subprocess.run(

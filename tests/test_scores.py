@@ -371,3 +371,26 @@ def test_sample_validation_messages(cls, field, label, x, v, error, message):
         cls(x, v)
     assert type(exc.value) is error
     assert str(exc.value) == message.format(field=field, label=label)
+
+
+def _layouts():
+    x = np.random.default_rng(31).normal(size=(40, 6))
+    f = np.asfortranarray(x)
+    return {
+        "C": x, "F": f, "n x 1": x[:, :1].copy(), "n x 1 view": f[:, 1:2], "1 x p": x[:1].copy(),
+        "C rows": x[::2], "C columns": x[:, ::3], "F rows": f[::2], "F columns": f[:, ::2],
+        "transposed": x.T[:, :5], "fancy columns": x[:, [0, 2, 3]], "no covariates": x[:, :0],
+    }
+
+
+@pytest.mark.parametrize("name", list(_layouts()))
+def test_design_equals_column_stack_in_bytes_and_memory_order(name):
+    # The fit's BLAS calls pick their kernels by layout, so the design keeps
+    # the order np.column_stack gave it: x's own, F for column-major views.
+    x = _layouts()[name]
+    mu, sd = x.mean(axis=0), np.linspace(0.5, 2.0, x.shape[1])
+    want = np.column_stack([np.ones(x.shape[0]), (x - mu) / sd])
+    got = dsm_scores._design(x, mu, sd)
+    assert got.shape == want.shape and got.tobytes("A") == want.tobytes("A")
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+        want.flags.c_contiguous, want.flags.f_contiguous)

@@ -545,10 +545,10 @@ def test_pool_workers_bootstrap_on_one_thread(monkeypatch, tmp_path):
     log = tmp_path / "ranges"
     real = unc._draw_range
 
-    def spy(spec, resid, norm, out, lo, hi):
+    def spy(spec, resid, norm, out, buf, lo, hi):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()} {lo} {hi} {spec.n_draws}\n")
-        real(spec, resid, norm, out, lo, hi)
+        real(spec, resid, norm, out, buf, lo, hi)
 
     monkeypatch.setattr(unc, "_draw_range", spy)
     run_scenario_table(replace(SMALL, n_reps=2, n_boot=30))

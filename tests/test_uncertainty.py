@@ -333,9 +333,9 @@ def test_draw_ranges_split_across_threads(monkeypatch):
     ranges = []
     real = unc._draw_range
 
-    def spy(spec, resid, norm, out, lo, hi):
+    def spy(spec, resid, norm, out, buf, lo, hi):
         ranges.append((lo, hi))
-        real(spec, resid, norm, out, lo, hi)
+        real(spec, resid, norm, out, buf, lo, hi)
 
     monkeypatch.setattr(unc, "_draw_range", spy)
     plan = plan_from([[0, 1], [2, 0]], n_a=3)
