@@ -151,25 +151,16 @@ def cmd_simulate(args):
     a1 the fractional-exponent distortion, 4 the interval-coverage grid.
     """
     base = _simulate_base(args)
-    meta = {
-        "table": args.table,
-        "seed": args.seed,
-        "reps": base.n_reps,
-        "scale": args.scale,
-    }
+    meta = {"table": args.table, "seed": args.seed, "reps": base.n_reps, "scale": args.scale}
 
     rows = []
     if args.table == "4":
         header = ("m", "n_a", "n_b", "scenario", "coverage_sample_b", "coverage_population")
         for entry in run_coverage_grid(base, COVERAGE_GRID):
             for sc, rep in entry["reports"].items():
-                rows.append(
-                    (
-                        entry["m"], entry["n_a"], entry["n_b"], sc,
-                        rep.summary("mu_b_debiased").coverage,
-                        rep.summary("mu_dsm_debiased").coverage,
-                    )
-                )
+                rows.append((entry["m"], entry["n_a"], entry["n_b"], sc,
+                             rep.summary("mu_b_debiased").coverage,
+                             rep.summary("mu_dsm_debiased").coverage))
                 meta[f"failed_m{entry['m']}_{entry['n_a']}_{entry['n_b']}_{sc}"] = rep.n_failed
         meta["n_boot"] = base.n_boot
     else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 from math import isfinite
@@ -133,9 +134,19 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+@contextmanager
+def _naming(path):
+    """Name path in an OSError raised without a filename (ENOSPC on close)."""
+    try:
+        yield
+    except OSError as err:
+        err.filename = path if err.filename is None else err.filename
+        raise
+
+
 def write_csv(path, header, rows):
     """Write a rectangular table; floats via repr (exact round-trip)."""
-    with open(path, "w", newline="") as fh:
+    with _naming(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -144,6 +155,6 @@ def write_csv(path, header, rows):
 
 def write_meta(path, mapping):
     """Flat key=value sidecar, one entry per line, insertion order."""
-    with open(path, "w") as fh:
+    with _naming(path), open(path, "w") as fh:
         for key, value in mapping.items():
             fh.write(f"{key}={_fmt(value)}\n")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import islice, starmap
 
 import numpy as np
 
@@ -304,9 +304,7 @@ def observed_covariates(x, nonlinearity: str) -> np.ndarray:
     if nonlinearity == "extreme":
         if np.any(x[:, 1] < 0.0) or np.any(x[:, 2] <= 0.0) or np.any(x[:, 3] <= 0.0):
             raise DomainError("fractional/negative exponents need positive covariates")
-        return np.column_stack(
-            [x[:, 0], x[:, 1] ** 1.15, x[:, 2] ** -0.85, x[:, 3] ** -1.15]
-        )
+        return np.column_stack([x[:, 0], x[:, 1] ** 1.15, x[:, 2] ** -0.85, x[:, 3] ** -1.15])
     raise ValueError(f"nonlinearity must be one of {NONLINEARITY_MODES}")
 
 
@@ -440,33 +438,17 @@ def _report(results, scenario: str, spec: ScenarioSpec) -> SimReport:
     series = {k: np.array([r[k] for r in ok]) for k in keys}
     coverage = {k: series.pop(k) for k in ("cover_b", "cover_pop") if k in series}
     targets = {k: series.pop(k) for k in ("target_b", "target_pop")}
-    return SimReport(
-        n_ok=len(ok),
-        n_failed=len(failures),
-        failures=failures,
-        estimates=series,
-        targets=targets,
-        coverage=coverage,
-    )
+    return SimReport(n_ok=len(ok), n_failed=len(failures), failures=failures,
+                     estimates=series, targets=targets, coverage=coverage)
 
 
-def run_scenario_table(base: ScenarioSpec, scenarios=SCENARIOS) -> dict:
-    """Run base.n_reps replications, each drawing its population and
-    samples once for every scenario, and return {scenario: SimReport}.
-
-    Replications failing with a package error (separation, rank loss,
-    domain problems) are dropped and counted per scenario; everything
-    else is aggregated in replication order, so reports are bit-identical
-    for a given spec no matter the worker count.  Replications run on up
-    to DSM_THREADS (else the CPUs this process may run on) worker
-    processes, never more than replications; each bootstraps on one
-    thread, without a thread pool.  One worker runs every replication in
-    this process, and only a run on two or more loads the process pool.
-    """
-    names, reps = tuple(dict.fromkeys(scenarios)), range(base.n_reps)
+def _run(specs, scenarios=SCENARIOS) -> list:
+    """One {scenario: SimReport} per spec, all their replications in one run."""
+    names = tuple(dict.fromkeys(scenarios))
     if not set(names) <= set(SCENARIOS):
         raise ValueError(f"scenario must be one of {SCENARIOS}")
-    workers = min(_worker_count(), base.n_reps)
+    jobs = [(spec, names, s) for spec in specs for s in range(spec.n_reps)]
+    workers = min(_worker_count(), len(jobs))
     if workers > 1:
         # Lazy: the process pool loads multiprocessing, socket and more, slowing `import dsm`.
         from concurrent.futures import ProcessPoolExecutor
@@ -474,11 +456,27 @@ def run_scenario_table(base: ScenarioSpec, scenarios=SCENARIOS) -> dict:
         import scipy.special  # loaded once here: the forked workers inherit it
 
         with ProcessPoolExecutor(workers, initializer=_one_bootstrap_thread) as pool:
-            chunk = max(1, base.n_reps // (workers * 8))
-            results = list(pool.map(_replicate, repeat(base), repeat(names), reps, chunksize=chunk))
+            chunk = max(1, len(jobs) // (workers * 8))
+            results = iter(list(pool.map(_replicate, *zip(*jobs), chunksize=chunk)))
     else:
-        results = [_replicate(base, names, s) for s in reps]
-    return {sc: _report([r[sc] for r in results], sc, base) for sc in names}
+        results = iter(list(starmap(_replicate, jobs)))
+    rows = [(spec, list(islice(results, spec.n_reps))) for spec in specs]
+    return [{sc: _report([r[sc] for r in row], sc, spec) for sc in names} for spec, row in rows]
+
+
+def run_scenario_table(base: ScenarioSpec, scenarios=SCENARIOS) -> dict:
+    """Run base.n_reps replications, each drawing its population and
+    samples once for every scenario, and return {scenario: SimReport}.
+
+    Replications failing with a package error (separation, rank loss,
+    domain problems) are dropped and counted per scenario; the rest are
+    aggregated in replication order, so reports are bit-identical for a
+    given spec no matter the worker count.  One worker runs them in this
+    process; more share one pool of up to DSM_THREADS (else the CPUs this
+    process may run on) processes, never more than replications, each
+    bootstrapping on one thread.
+    """
+    return _run([base], scenarios)[0]
 
 
 def run_monte_carlo(spec: ScenarioSpec, scenario: str = "TT") -> SimReport:
@@ -488,9 +486,9 @@ def run_monte_carlo(spec: ScenarioSpec, scenario: str = "TT") -> SimReport:
 
 def run_coverage_grid(base: ScenarioSpec, grid=COVERAGE_GRID):
     """Run the coverage study rows; returns a list of dicts with the row
-    sizes and {scenario: SimReport} under each of the four scenarios."""
-    out = []
-    for m, n_a, n_b in grid:
-        row_spec = replace(base, m=m, n_a=n_a, n_b=n_b)
-        out.append({"m": m, "n_a": n_a, "n_b": n_b, "reports": run_scenario_table(row_spec)})
-    return out
+    sizes and {scenario: SimReport} under each of the four scenarios.
+    All rows' replications run as one table run would, in one pool sized
+    to all of them; a row's all-failed scenario is reported after them."""
+    specs = [replace(base, m=m, n_a=n_a, n_b=n_b) for m, n_a, n_b in grid]
+    return [{"m": sp.m, "n_a": sp.n_a, "n_b": sp.n_b, "reports": reports}
+            for sp, reports in zip(specs, _run(specs))]

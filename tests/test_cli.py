@@ -415,6 +415,25 @@ def test_unwritable_output_exits_schema(sample_files, tmp_path, capsys, blocked)
     assert capsys.readouterr().err == f"dsm: {tmp_path / blocked}: Is a directory\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_full_device_output_names_its_file(capsys):
+    # Writes to /dev/full fail with ENOSPC, an OSError without a filename.
+    assert main(["simulate", "--table", "2", "--reps", "2", "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err == "dsm: /dev/full: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("write", [
+    lambda path: write_csv(path, ("v",), [(0.5,)]),
+    lambda path: write_meta(path, {"v": 0.5}),
+], ids=["csv", "meta"])
+def test_full_device_write_error_carries_the_path(write):
+    with pytest.raises(OSError) as err:
+        write("/dev/full")
+    assert err.value.filename == "/dev/full"
+    assert err.value.strerror == "No space left on device"
+
+
 def test_negative_seed_exits_numeric(sample_files, tmp_path):
     pa, pb = sample_files
     args = _base_args("estimate", pa, pb, tmp_path / "o.csv", seed=-1)
@@ -930,9 +949,9 @@ def test_simulate_bootstrap_misuse_exits_numeric(tmp_path, monkeypatch, capsys, 
      "--bootstrap must be at least 2 for table 4: its coverage needs intervals"),
 ], ids=["reps_zero", "reps_negative_table4", "m_zero", "bootstrap_negative_table4"])
 def test_simulate_range_errors_name_the_option(tmp_path, monkeypatch, capsys, args, message):
-    # run_coverage_grid calls the library's run_scenario_table.
+    # run_coverage_grid runs its rows through the library's private _run.
     monkeypatch.setattr(cli, "run_scenario_table", _never_called)
-    monkeypatch.setattr(dsm.simulation, "run_scenario_table", _never_called)
+    monkeypatch.setattr(dsm.simulation, "_run", _never_called)
     out = tmp_path / "t.csv"
     assert main(["simulate", *args, "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"dsm: {message}\n"

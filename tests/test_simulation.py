@@ -504,6 +504,29 @@ def test_pool_workers_match_serial_with_bootstrap(monkeypatch):
     _assert_reports_equal(pooled, first, 1)
 
 
+# (m, n_a, n_b) rows of a coverage grid small enough for a test.
+_SMALL_GRID = ((3, 150, 300), (2, 120, 250), (4, 180, 300))
+
+
+def test_coverage_grid_rows_match_their_own_tables(monkeypatch):
+    # 3 rows of 11 replications make 33 jobs: at 2 workers the pool hands
+    # them out 2 at a time, so a chunk spans the first two rows' edge.
+    # Each row's reports are still those of its own table run.
+    base = replace(SMALL, n_reps=11, n_boot=20)
+    serial = sim.run_coverage_grid(base, _SMALL_GRID)
+    monkeypatch.setenv("DSM_THREADS", "2")
+    pooled = sim.run_coverage_grid(base, _SMALL_GRID)
+    monkeypatch.setenv("DSM_THREADS", "1")
+    assert len(serial) == len(pooled) == len(_SMALL_GRID)
+    for (m, n_a, n_b), one, two in zip(_SMALL_GRID, serial, pooled):
+        for row in (one, two):
+            assert (row["m"], row["n_a"], row["n_b"]) == (m, n_a, n_b)
+        own = run_scenario_table(replace(base, m=m, n_a=n_a, n_b=n_b))
+        assert own.keys() == one["reports"].keys() == two["reports"].keys()
+        _assert_reports_equal(one["reports"], own, 11)
+        _assert_reports_equal(two["reports"], own, 11)
+
+
 def test_pool_never_outnumbers_replications(monkeypatch):
     # A fork pool starts all of its processes at once, so it is sized to
     # the replications; one replication, or one worker, runs in this
@@ -533,6 +556,16 @@ def test_pool_never_outnumbers_replications(monkeypatch):
         reports = run_scenario_table(replace(SMALL, n_reps=n_reps))
         assert made == expected, threads
         assert all(rep.n_ok + rep.n_failed == n_reps for rep in reports.values())
+    # A coverage grid is one run: its rows share one pool, sized to all of
+    # their replications, and one worker runs them all in this process.
+    for threads, expected in [("4", [3]), ("1", [])]:
+        monkeypatch.setenv("DSM_THREADS", threads)
+        made.clear()
+        grid = sim.run_coverage_grid(replace(SMALL, n_reps=1), _SMALL_GRID)
+        assert made == expected, threads
+        assert [(row["m"], row["n_a"], row["n_b"]) for row in grid] == list(_SMALL_GRID)
+        assert all(rep.n_ok + rep.n_failed == 1
+                   for row in grid for rep in row["reports"].values())
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
