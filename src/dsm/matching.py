@@ -15,6 +15,8 @@ reproducible.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,15 +73,31 @@ def _sq_distances(points, donors):
     return (points[:, :1] - donors[..., 0]) ** 2 + (points[:, 1:] - donors[..., 1]) ** 2
 
 
+def _kdtree():
+    """scipy's cKDTree class, its extension module loaded alone on first use."""
+    # `import scipy.spatial` would also load qhull, scipy.linalg and the
+    # rotations (about 10 MB of RSS), none of which matching uses.  The
+    # module goes into sys.modules under its own name, so a later
+    # `import scipy.spatial` reuses it and scipy.spatial.cKDTree is this class.
+    name = "scipy.spatial._ckdtree"
+    if name not in sys.modules:
+        import importlib.machinery
+
+        import scipy
+
+        spec = importlib.machinery.PathFinder.find_spec(name, [f"{scipy.__path__[0]}/spatial"])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name].cKDTree
+
+
 def _nearest(points, donors, m):
     """Yield (rows, indices, squared distances) of each block of points'
     m nearest donors, ordered by (distance, donor index), rows being the
     block's slice of points.  Each row's result depends on that row alone,
     so the blocking is invisible."""
-    # Lazy: scipy.spatial loads scipy.linalg and scipy.sparse, slowing `import dsm`.
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(donors)
+    tree = _kdtree()(donors)
     k = min(m + 1, len(donors))
     for lo in range(0, len(points), _BLOCK):
         block = points[lo : lo + _BLOCK]

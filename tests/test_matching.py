@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -323,7 +322,7 @@ def test_one_ulp_near_tie_at_the_mth_candidate_is_redone(monkeypatch):
     expected = oracle_match(za, zb, 2)
     assert expected.tolist() == [[0, 6]]
     assert np.array_equal(find_matches(scores, 2).j_sets, expected)
-    monkeypatch.setattr(scipy.spatial, "cKDTree", _TreeRoundingTheOtherWay)
+    monkeypatch.setattr(matching, "_kdtree", lambda: _TreeRoundingTheOtherWay)
     redone = _spy_full_rows(monkeypatch)
     assert np.array_equal(find_matches(scores, 2).j_sets, expected)
     assert redone == [1]
@@ -383,7 +382,7 @@ def test_lattice_ball_memory_is_bounded_by_the_batch():
     # at a time peak near 5 MiB here, every tied row at once near 16 MiB.
     za, zb = lattice_scores(4000, 8000, 7)
     scores = make_scores(za, zb)
-    find_matches(make_scores(za[:4], zb[:2]), 1)  # scipy.spatial loads untraced
+    find_matches(make_scores(za[:4], zb[:2]), 1)  # the k-d tree extension loads untraced
     tracemalloc.start()
     try:
         find_matches(scores, 3)
@@ -447,7 +446,7 @@ def test_search_memory_is_the_outputs_plus_one_block(monkeypatch):
     rng = np.random.default_rng(19)
     za, zb = rng.normal(size=(20_000, 2)), rng.normal(size=(40_000, 2))
     scores = make_scores(za, zb)
-    find_matches(make_scores(za[:4], zb[:2]), 1)  # scipy.spatial loads untraced
+    find_matches(make_scores(za[:4], zb[:2]), 1)  # the k-d tree extension loads untraced
     tree = 1.5 * za.nbytes
     m, j = 3, 6
     plan, peak = _traced_peak(lambda: find_matches(scores, m))
@@ -472,9 +471,9 @@ _SCIPY_LOADED = "sorted(m for m in ('scipy.special', 'scipy.spatial') if m in sy
 
 
 def test_importing_the_cli_leaves_scipy_spatial_unloaded():
-    # scipy.spatial pulls in scipy.linalg and scipy.sparse, and scipy.special
-    # is about half of the start-up cost; they load on the first search or
-    # fit, so start-up does not pay for them.
+    # scipy.special is about half of the start-up cost, and the k-d tree
+    # extension pulls in scipy.sparse; they load on the first fit or
+    # search, so start-up does not pay for them.
     for module in ("dsm", "dsm.cli"):
         proc = _run_python("-c", f"import sys, {module}; print({_SCIPY_LOADED})")
         assert proc.returncode == 0, proc.stderr
@@ -495,15 +494,20 @@ def test_importing_the_cli_leaves_the_pools_unloaded():
         assert proc.stdout == "[]\n", f"import {module} loaded {proc.stdout.strip()}"
 
 
-@pytest.mark.parametrize("threads, pooled", [("1", False), ("2", True)])
-def test_one_thread_estimate_starts_no_thread_pool(tmp_path, monkeypatch, threads, pooled):
-    # scipy.special loads concurrent.futures itself (through numpy.testing),
-    # so the probe is the module that holds ThreadPoolExecutor.
+def _write_samples(tmp_path):
     rng = np.random.default_rng(3)
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     x = rng.uniform(0, 2, (60, 2))
     pa.write_text("x1,x2,y\n" + "".join(f"{u},{v},{u + v}\n" for u, v in x[:20]))
     pb.write_text("x1,x2,d\n" + "".join(f"{u},{v},3.0\n" for u, v in x[20:]))
+    return pa, pb
+
+
+@pytest.mark.parametrize("threads, pooled", [("1", False), ("2", True)])
+def test_one_thread_estimate_starts_no_thread_pool(tmp_path, monkeypatch, threads, pooled):
+    # scipy.special loads concurrent.futures itself (through numpy.testing),
+    # so the probe is the module that holds ThreadPoolExecutor.
+    pa, pb = _write_samples(tmp_path)
     argv = ["estimate", "--sample-a", str(pa), "--sample-b", str(pb), "--covariates", "x1,x2",
             "--bootstrap", "50", "--out", str(tmp_path / "o.csv")]
     code = ("import sys; from dsm.cli import main; "
@@ -511,6 +515,39 @@ def test_one_thread_estimate_starts_no_thread_pool(tmp_path, monkeypatch, thread
     monkeypatch.setenv("DSM_THREADS", threads)
     proc = _run_python("-c", code, *argv)
     assert proc.stdout == f"0 {pooled}\n", proc.stderr
+
+
+@pytest.mark.parametrize("command", ["estimate", "impute", "simulate"])
+def test_commands_load_the_tree_extension_not_scipy_spatial(tmp_path, monkeypatch, command):
+    # Matching needs only cKDTree's extension module; the scipy.spatial
+    # package would also load qhull, scipy.linalg and the rotations.
+    pa, pb = _write_samples(tmp_path)
+    out = ["--out", str(tmp_path / "o.csv")]
+    argv = {
+        "estimate": ["estimate", "--sample-a", str(pa), "--sample-b", str(pb),
+                     "--covariates", "x1,x2", "--bootstrap", "50"],
+        "impute": ["impute", "--sample-a", str(pa), "--sample-b", str(pb), "--covariates", "x1,x2"],
+        "simulate": ["simulate", "--table", "2", "--reps", "2"],
+    }[command] + out
+    probe = ("sorted(m for m in ('scipy.spatial', 'scipy.linalg', 'scipy.spatial._ckdtree')"
+             " if m in sys.modules)")
+    code = f"import sys; from dsm.cli import main; print(main(sys.argv[1:]), {probe})"
+    monkeypatch.setenv("DSM_THREADS", "1")
+    proc = _run_python("-c", code, *argv)
+    assert proc.stdout == "0 ['scipy.spatial._ckdtree']\n", proc.stderr
+
+
+@pytest.mark.parametrize("spatial_first", [True, False])
+def test_the_tree_class_is_scipy_spatial_ckdtree(spatial_first):
+    # Whether scipy.spatial loads before the first search or after it, one
+    # extension module serves both, so dsm searches with scipy's own class.
+    search = ("from dsm import ScoreMatrix, find_matches, matching; "
+              "find_matches(ScoreMatrix(z=np.arange(8.0).reshape(4, 2), n_a=2), 1); "
+              "tree = matching._kdtree()")
+    steps = ["import scipy.spatial", search] if spatial_first else [search, "import scipy.spatial"]
+    code = "; ".join(["import numpy as np", *steps, "print(tree is scipy.spatial.cKDTree)"])
+    proc = _run_python("-c", code)
+    assert proc.stdout == "True\n", proc.stderr
 
 
 def test_input_error_exits_before_scipy_loads(tmp_path):
