@@ -79,6 +79,9 @@ def _kdtree():
     # rotations (about 10 MB of RSS), none of which matching uses.  The
     # module goes into sys.modules under its own name, so a later
     # `import scipy.spatial` reuses it and scipy.spatial.cKDTree is this class.
+    # That import does not set the package's `_ckdtree` attribute, so the
+    # expression `scipy.spatial._ckdtree` then raises AttributeError, while
+    # `import scipy.spatial._ckdtree as m` still works.
     name = "scipy.spatial._ckdtree"
     if name not in sys.modules:
         import importlib.machinery
@@ -163,6 +166,7 @@ def find_matches(scores: ScoreMatrix, m: int, d_b=None) -> MatchPlan:
         np.sqrt(dsq, out=distances[rows])
     flat = j_sets.ravel()
     k_counts = np.bincount(flat, minlength=n_a)
+    # One n_b*m weight array: summing block by block would reorder k_weighted's additions.
     k_weighted = np.bincount(flat, weights=np.repeat(d_b, m), minlength=n_a)
     return MatchPlan(
         m=m,

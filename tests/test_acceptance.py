@@ -34,6 +34,7 @@ from dsm.uncertainty import (
     bootstrap_ci_population,
     mammen_draw,
 )
+from support import TOY_D, TOY_XA, TOY_XB, grid_argmax, oracle_match
 
 SEED = 101
 REPS = 500
@@ -162,36 +163,6 @@ def test_criterion_5_interval_coverage(coverage_rows):
                 assert 0.92 <= cov_pop <= 0.97
 
 
-def _toy_grid_argmax():
-    """Brute-force maximizer of the sampling-score objective on a tiny
-    one-covariate problem, by four rounds of grid refinement."""
-    xa = np.array([[0.5], [1.0], [1.5], [2.0]])
-    xb = np.array([[0.2], [1.8]])
-    d = np.array([3.0, 4.0])
-    da = np.column_stack([np.ones(4), xa])
-    db = np.column_stack([np.ones(2), xb])
-
-    center, half = np.zeros(2), 6.0
-    n = 201
-    for _ in range(4):
-        t0 = np.linspace(center[0] - half, center[0] + half, n)
-        t1 = np.linspace(center[1] - half, center[1] + half, n)
-        g0, g1 = np.meshgrid(t0, t1, indexing="ij")
-        thetas = np.column_stack([g0.ravel(), g1.ravel()])
-        ll = (da @ thetas.T).sum(axis=0) - d @ np.logaddexp(0.0, db @ thetas.T)
-        center = thetas[int(np.argmax(ll))]
-        half = 8.0 * half / (n - 1)
-    return (SampleA(xa, np.zeros(4)), SampleB(xb, d)), center
-
-
-def _oracle_match(za, zb, m):
-    idx = np.empty((len(zb), m), dtype=np.intp)
-    for i, point in enumerate(zb):
-        d2 = ((za - point) ** 2).sum(axis=1)
-        idx[i] = np.lexsort((np.arange(len(za)), d2))[:m]
-    return idx
-
-
 def _fitted_instance(seed, unit_weights=False):
     rng = np.random.default_rng(seed)
     xa = rng.normal(0.0, 1.0, (30, 2))
@@ -243,8 +214,8 @@ def test_criterion_6_core_identities():
     assert abs((w**3).mean() - 1.0) < 8.0 / np.sqrt(n)
 
     # Sampling-score MLE against the grid oracle.
-    (toy_a, toy_b), oracle_theta = _toy_grid_argmax()
-    theta = fit_propensity(toy_a, toy_b)
+    oracle_theta = grid_argmax(TOY_XA, TOY_XB, TOY_D, lo=-6.0, hi=6.0)
+    theta = fit_propensity(SampleA(TOY_XA, np.zeros(4)), SampleB(TOY_XB, TOY_D))
     assert np.allclose(theta, oracle_theta, atol=1e-4)
 
     # Matcher against brute force on random instances, ties included.
@@ -259,7 +230,7 @@ def test_criterion_6_core_identities():
             za, zb = np.round(za, 1), np.round(zb, 1)
         z = np.vstack([za, zb])
         got = find_matches(ScoreMatrix(z=z, n_a=n_a), m)
-        assert np.array_equal(got.j_sets, _oracle_match(za, zb, m))
+        assert np.array_equal(got.j_sets, oracle_match(za, zb, m))
 
     # Synthetic-population calibrations.
     spec = ScenarioSpec(nonlinearity="none", n_reps=REPS, seed=SEED)

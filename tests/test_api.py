@@ -1,16 +1,13 @@
 """The package namespace: what `from dsm import *` brings in, and the
 messages its public functions give for arguments they reject."""
 
-import os
-import subprocess
-import sys
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dsm
+from support import run_python
 
 _SUBMODULES = ("errors", "estimators", "io", "matching", "scores", "simulation", "uncertainty")
 
@@ -43,9 +40,7 @@ def test_import_dsm_loads_no_numpy_and_sets_no_variable():
     # can set its BLAS threads after `import dsm` and before numpy loads.
     code = ("import os, sys; before = dict(os.environ); import dsm; "
             "print('numpy' in sys.modules, dict(os.environ) == before, dsm.__version__)")
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True, timeout=60)
+    proc = run_python(["-c", code])
     assert proc.stdout == f"False True {dsm.__version__}\n", proc.stderr
 
 

@@ -5,8 +5,6 @@ reruns."""
 import csv
 import io
 import os
-import subprocess
-import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -23,6 +21,7 @@ import dsm.errors
 import dsm.simulation
 from dsm.cli import main
 from dsm.io import RunConfig, load_samples, write_csv, write_meta
+from support import run_python
 
 
 # -- fixtures -----------------------------------------------------------
@@ -434,6 +433,19 @@ def test_full_device_write_error_carries_the_path(write):
     assert err.value.strerror == "No space left on device"
 
 
+def test_os_error_naming_no_file_is_raised(tmp_path, monkeypatch, capsys):
+    # With no file to name, a `dsm:` line could not say what failed, so the
+    # traceback stays.
+    def fail(args):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(cli, "cmd_simulate", fail)
+    with pytest.raises(OSError) as err:
+        main(["simulate", "--table", "2", "--out", str(tmp_path / "t.csv")])
+    assert err.value.filename is None
+    assert capsys.readouterr().err == ""
+
+
 def test_negative_seed_exits_numeric(sample_files, tmp_path):
     pa, pb = sample_files
     args = _base_args("estimate", pa, pb, tmp_path / "o.csv", seed=-1)
@@ -611,6 +623,22 @@ def test_extreme_propensity_warning_is_one_dsm_line(tmp_path, capsys):
         "inverse weighting may be unstable\n")
     assert not caught
     assert (tmp_path / "o.csv").exists()
+
+
+def test_other_warnings_keep_the_python_display(tmp_path, monkeypatch, capsys):
+    # Only an ExtremePropensityWarning becomes a `dsm: warning:` line; any
+    # other warning goes on to Python's showwarning, which record=True
+    # points at the caught list.
+    def warn(args):
+        warnings.warn("not about propensities", UserWarning)
+
+    monkeypatch.setattr(cli, "cmd_simulate", warn)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--table", "2", "--out", str(tmp_path / "t.csv")]) == 0
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, "not about propensities")]
+    assert capsys.readouterr().err == ""
 
 
 def _error_classes(base=dsm.errors.DsmError):
@@ -1003,16 +1031,8 @@ def test_estimate_byte_identical_across_thread_counts(sample_files, tmp_path, mo
 
 # -- BLAS threads -------------------------------------------------------
 
+# Each interpreter below starts with none of these set but those it exports.
 _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _fresh_python(args, **blas):
-    """Run a new interpreter on this checkout's dsm, with no BLAS thread
-    variable set but those in blas."""
-    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARIABLES}
-    env.update(blas, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=60)
 
 
 @pytest.mark.parametrize("exported, seen", [
@@ -1021,7 +1041,7 @@ def _fresh_python(args, **blas):
 ])
 def test_the_cli_pins_blas_threads_unless_exported(exported, seen):
     code = f"import os, dsm.cli; print([os.environ.get(v) for v in {_BLAS_VARIABLES}])"
-    proc = _fresh_python(["-c", code], **exported)
+    proc = run_python(["-c", code], drop=_BLAS_VARIABLES, **exported)
     assert proc.stdout == f"{seen}\n", proc.stderr
 
 
@@ -1030,7 +1050,7 @@ def test_the_cli_process_runs_one_native_thread():
     # numpy's and scipy's OpenBLAS each start a thread pool as they load,
     # unless told beforehand to run on one thread.
     code = "import os, dsm.cli, scipy.special, scipy.spatial; print(len(os.listdir('/proc/self/task')))"
-    proc = _fresh_python(["-c", code])
+    proc = run_python(["-c", code], drop=_BLAS_VARIABLES)
     assert proc.stdout == "1\n", proc.stderr
 
 
@@ -1040,7 +1060,7 @@ def test_estimate_byte_identical_across_blas_thread_counts(sample_files, tmp_pat
     for blas in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
         out = tmp_path / f"blas{len(outputs)}.csv"
         argv = _base_args("estimate", pa, pb, out, bootstrap=199)
-        proc = _fresh_python(["-m", "dsm.cli", *argv], **blas)
+        proc = run_python(["-m", "dsm.cli", *argv], drop=_BLAS_VARIABLES, **blas)
         assert proc.returncode == 0, proc.stderr
         outputs.append((out.read_bytes(), Path(str(out) + ".meta").read_bytes()))
     assert outputs[0] == outputs[1]

@@ -1,14 +1,9 @@
 """Smoke test: the walkthroughs in demos/ run to completion against the
 current package and leave no files behind."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from support import ROOT, run_python
 
 
 @pytest.mark.parametrize(
@@ -17,13 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 )
 def test_demo_runs(demo, tmp_path):
     # DSM_THREADS bounds the simulation demo's process pool on many-core hosts.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path), DSM_THREADS="2")
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python([str(ROOT / "demos" / demo)], timeout=120, TMPDIR=str(tmp_path),
+                      DSM_THREADS="2")
     assert proc.returncode == 0, proc.stderr
     assert list(tmp_path.iterdir()) == []

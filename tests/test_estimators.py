@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from dsm import (
     ExtremePropensityWarning,
-    MatchPlan,
     SampleA,
     SampleB,
-    ScoreFit,
     ScoreMatrix,
     build_score_matrix,
     find_matches,
@@ -22,45 +20,7 @@ from dsm import (
     impute,
     point_estimates,
 )
-
-
-def plan_from(j_sets, n_a, d_b=None):
-    j_sets = np.asarray(j_sets, dtype=np.intp)
-    m = j_sets.shape[1]
-    flat = j_sets.ravel()
-    k = np.bincount(flat, minlength=n_a)
-    if d_b is None:
-        kw = k.astype(float)
-    else:
-        kw = np.bincount(flat, weights=np.repeat(np.asarray(d_b, float), m), minlength=n_a)
-    return MatchPlan(
-        m=m,
-        j_sets=j_sets,
-        distances=np.zeros_like(j_sets, dtype=float),
-        k_counts=k,
-        k_weighted=kw,
-    )
-
-
-def linear_fit(intercept, slope, a, b, theta_r=(0.0, 0.0)):
-    """Hand-built fit on samples a and b whose prognostic score is
-    intercept + slope * x and whose sampling score is expit(theta_r[0] +
-    theta_r[1] * x), flat at one half by default.  Like a fit_scores fit,
-    it carries both scores of the pooled rows, sample A first."""
-    fit = ScoreFit(
-        theta_r=np.array(theta_r, dtype=float),
-        theta_y=np.array([float(intercept), float(slope)]),
-        iterations=1,
-        grad_norm=0.0,
-        sd_f=1.0,
-        sd_g=1.0,
-        f=np.empty(0),
-        g=np.empty(0),
-        a=a,
-        b=b,
-    )
-    pooled = np.vstack([a.x, b.x])
-    return replace(fit, f=fit.propensity(pooled), g=fit.prognostic(pooled))
+from support import linear_fit, plan_from
 
 
 def estimate(plan, y_a, b=None):

@@ -1,11 +1,7 @@
 """Matching machinery against an exhaustive brute-force oracle, plus the
 count-conservation and tie-breaking contracts."""
 
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,20 +19,11 @@ from dsm import (
     find_matches,
     impute,
 )
+from support import oracle_match, run_python
 
 
 def make_scores(za, zb):
     return ScoreMatrix(z=np.vstack([za, zb]), n_a=len(za))
-
-
-def oracle_match(za, zb, m):
-    """Full O(n_a * n_b) sort per B-unit; ties resolve to the lowest donor
-    index via the secondary lexsort key."""
-    out = np.empty((len(zb), m), dtype=np.intp)
-    for i, point in enumerate(zb):
-        d2 = ((za - point) ** 2).sum(axis=1)
-        out[i] = np.lexsort((np.arange(len(za)), d2))[:m]
-    return out
 
 
 def oracle_inner(za, j):
@@ -456,17 +443,6 @@ def test_search_memory_is_the_outputs_plus_one_block(monkeypatch):
     assert peak <= inner.l_sets.nbytes + tree + 16 * 512 * (j + 2) * 8, (peak, inner.l_sets.nbytes)
 
 
-def _run_python(*args):
-    root = Path(__file__).resolve().parents[1]
-    return subprocess.run(
-        [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-
-
 _SCIPY_LOADED = "sorted(m for m in ('scipy.special', 'scipy.spatial') if m in sys.modules)"
 
 
@@ -475,7 +451,7 @@ def test_importing_the_cli_leaves_scipy_spatial_unloaded():
     # extension pulls in scipy.sparse; they load on the first fit or
     # search, so start-up does not pay for them.
     for module in ("dsm", "dsm.cli"):
-        proc = _run_python("-c", f"import sys, {module}; print({_SCIPY_LOADED})")
+        proc = run_python(["-c", f"import sys, {module}; print({_SCIPY_LOADED})"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n", f"import {module} loaded {proc.stdout.strip()}"
 
@@ -489,7 +465,7 @@ def test_importing_the_cli_leaves_the_pools_unloaded():
     # multiprocessing and concurrent.futures (with logging, socket,
     # subprocess and more) load where a process or thread pool starts.
     for module in ("dsm", "dsm.cli"):
-        proc = _run_python("-c", f"import sys, {module}; print({_POOLS_LOADED})")
+        proc = run_python(["-c", f"import sys, {module}; print({_POOLS_LOADED})"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n", f"import {module} loaded {proc.stdout.strip()}"
 
@@ -513,7 +489,7 @@ def test_one_thread_estimate_starts_no_thread_pool(tmp_path, monkeypatch, thread
     code = ("import sys; from dsm.cli import main; "
             "print(main(sys.argv[1:]), 'concurrent.futures.thread' in sys.modules)")
     monkeypatch.setenv("DSM_THREADS", threads)
-    proc = _run_python("-c", code, *argv)
+    proc = run_python(["-c", code, *argv])
     assert proc.stdout == f"0 {pooled}\n", proc.stderr
 
 
@@ -533,7 +509,7 @@ def test_commands_load_the_tree_extension_not_scipy_spatial(tmp_path, monkeypatc
              " if m in sys.modules)")
     code = f"import sys; from dsm.cli import main; print(main(sys.argv[1:]), {probe})"
     monkeypatch.setenv("DSM_THREADS", "1")
-    proc = _run_python("-c", code, *argv)
+    proc = run_python(["-c", code, *argv])
     assert proc.stdout == "0 ['scipy.spatial._ckdtree']\n", proc.stderr
 
 
@@ -546,7 +522,7 @@ def test_the_tree_class_is_scipy_spatial_ckdtree(spatial_first):
               "tree = matching._kdtree()")
     steps = ["import scipy.spatial", search] if spatial_first else [search, "import scipy.spatial"]
     code = "; ".join(["import numpy as np", *steps, "print(tree is scipy.spatial.cKDTree)"])
-    proc = _run_python("-c", code)
+    proc = run_python(["-c", code])
     assert proc.stdout == "True\n", proc.stderr
 
 
@@ -558,6 +534,6 @@ def test_input_error_exits_before_scipy_loads(tmp_path):
     argv = ["estimate", "--sample-a", str(pa), "--sample-b", str(pb),
             "--covariates", "x1,x9", "--out", str(tmp_path / "o.csv")]
     code = f"import sys; from dsm.cli import main; print(main(sys.argv[1:]), {_SCIPY_LOADED})"
-    proc = _run_python("-c", code, *argv)
+    proc = run_python(["-c", code, *argv])
     assert proc.stdout == "2 []\n", proc.stderr
     assert "x9" in proc.stderr

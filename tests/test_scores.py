@@ -27,6 +27,7 @@ from dsm import (
     fit_scores,
     point_estimates,
 )
+from support import TOY_D, TOY_XA, TOY_XB, grid_argmax
 
 
 def loglik(theta, xa, xb, d):
@@ -34,31 +35,6 @@ def loglik(theta, xa, xb, d):
     da = np.column_stack([np.ones(len(xa)), xa])
     db = np.column_stack([np.ones(len(xb)), xb])
     return float((da @ theta).sum() - d @ np.logaddexp(0.0, db @ theta))
-
-
-def grid_argmax(xa, xb, d, lo=-10.0, hi=10.0, rounds=4, n=201):
-    """Dense grid maximizer of the same objective, refined around the best
-    cell each round.  Independent of the Newton code path."""
-    center = np.zeros(2)
-    half = (hi - lo) / 2.0
-    for _ in range(rounds):
-        g0 = np.linspace(center[0] - half, center[0] + half, n)
-        g1 = np.linspace(center[1] - half, center[1] + half, n)
-        t0, t1 = np.meshgrid(g0, g1, indexing="ij")
-        thetas = np.stack([t0.ravel(), t1.ravel()], axis=1)
-        da = np.column_stack([np.ones(len(xa)), xa])
-        db = np.column_stack([np.ones(len(xb)), xb])
-        vals = (da @ thetas.T).sum(axis=0) - d @ np.logaddexp(0.0, db @ thetas.T)
-        center = thetas[int(np.argmax(vals))]
-        half = 2.0 * half / (n - 1) * 4
-    return center
-
-
-# Weighted B-moments must be able to absorb A's totals (sum 1 = 4,
-# sum x = 5) with propensities inside (0,1), or no maximizer exists.
-TOY_XA = np.array([[0.5], [1.0], [1.5], [2.0]])
-TOY_XB = np.array([[0.2], [1.8]])
-TOY_D = np.array([3.0, 4.0])
 
 
 def test_propensity_matches_grid_oracle():

@@ -92,6 +92,7 @@ def test_theta0_symmetric_case():
 def test_theta0_hits_target_size():
     rng = np.random.default_rng(3)
     pop = gen_population(ScenarioSpec(n_pop=20000, n_a=500, n_b=1000), rng)
+    assert pop.n == pop.pi_a.shape[0] == 20000
     assert abs(pop.pi_a.sum() - 500.0) <= 1e-6
     assert np.all((pop.pi_a > 0) & (pop.pi_a < 1))
 

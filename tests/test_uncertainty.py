@@ -5,7 +5,6 @@ evaluator, and the determinism contract."""
 import os
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +16,8 @@ from dsm import (
     MAMMEN_POS,
     BootstrapSpec,
     InnerNeighbors,
-    MatchPlan,
     SampleA,
     SampleB,
-    ScoreFit,
     analytic_variance,
     bootstrap_ci_debiased,
     bootstrap_ci_plain,
@@ -28,49 +25,12 @@ from dsm import (
     mammen_draw,
     sigma2_units,
 )
+from support import linear_fit, multiplier_block, plan_from
 
 
 def inner_from(l_sets):
     l_sets = np.asarray(l_sets, dtype=np.intp)
     return InnerNeighbors(j=l_sets.shape[1], l_sets=l_sets)
-
-
-def plan_from(j_sets, n_a, d_b=None):
-    j_sets = np.asarray(j_sets, dtype=np.intp)
-    m = j_sets.shape[1]
-    k = np.bincount(j_sets.ravel(), minlength=n_a)
-    if d_b is None:
-        kw = k.astype(float)
-    else:
-        kw = np.bincount(
-            j_sets.ravel(), weights=np.repeat(np.asarray(d_b, float), m), minlength=n_a
-        )
-    return MatchPlan(
-        m=m,
-        j_sets=j_sets,
-        distances=np.zeros_like(j_sets, dtype=float),
-        k_counts=k,
-        k_weighted=kw,
-    )
-
-
-def linear_fit(intercept, slope, a, b):
-    """Hand-built fit on samples a and b whose prognostic score is
-    intercept + slope * x, carrying both scores of the pooled rows."""
-    fit = ScoreFit(
-        theta_r=np.array([0.0, 0.0]),
-        theta_y=np.array([float(intercept), float(slope)]),
-        iterations=1,
-        grad_norm=0.0,
-        sd_f=1.0,
-        sd_g=1.0,
-        f=np.empty(0),
-        g=np.empty(0),
-        a=a,
-        b=b,
-    )
-    pooled = np.vstack([a.x, b.x])
-    return replace(fit, f=fit.propensity(pooled), g=fit.prognostic(pooled))
 
 
 # -- residual variances -------------------------------------------------
@@ -243,15 +203,6 @@ def test_stream_is_pinned_to_literal_draws():
         assert (report.lo, report.hi) == (lo, hi), seed
 
 
-def one_generator_draws(seed, resid, norm, n_draws):
-    """Oracle: the whole (n_draws, n) multiplier block from one PCG64DXSM
-    generator, reduced row-wise."""
-    gen = np.random.Generator(np.random.PCG64DXSM(seed))
-    u = gen.random((n_draws, resid.shape[0]))
-    w = np.where(u < MAMMEN_P_NEG, MAMMEN_NEG, MAMMEN_POS)
-    return (w * resid).sum(axis=1) / norm
-
-
 def test_chunk_size_invariance(monkeypatch):
     # Every thread count, chunk size and unit count gives the one-generator
     # block bit for bit: n_draws below the thread count, odd and prime
@@ -268,13 +219,15 @@ def test_chunk_size_invariance(monkeypatch):
             plan = plan_from(rng.integers(0, n_a, size=(max(4, n_a // 2), 2)), n_a=n_a)
             spec = BootstrapSpec(n_draws=n_draws, seed=9)
             resid = plan.k_counts * (y - 0.1) / plan.m
-            expected = one_generator_draws(9, resid, plan.n_b, n_draws)
+            # The one-generator block, reduced row-wise.
+            w = multiplier_block(9, n_draws, n_a)
+            expected = (w * resid).sum(axis=1) / plan.n_b
             # The joint kernel: the plain column among others with their
             # own residuals and norms, each drawn as if it were alone.
             columns = [(0.1, resid, plan.n_b)] + [
                 (float(c), rng.normal(size=n_a), c + 2.5) for c in range(3)
             ]
-            joint_expected = [one_generator_draws(9, r, norm, n_draws) for _, r, norm in columns]
+            joint_expected = [(w * r).sum(axis=1) / norm for _, r, norm in columns]
             for chunk_elems in (unc._CHUNK_ELEMS, 16, 1):
                 monkeypatch.setattr(unc, "_CHUNK_ELEMS", chunk_elems)
                 for threads in (1, 2, 3, 4):
@@ -400,9 +353,7 @@ def test_debiased_replicates_match_independent_evaluator(monkeypatch):
         plan = plan_from(rng.integers(0, n_a, size=(n_b, 2)), n_a=n_a, d_b=b.d)
         spec = BootstrapSpec(n_draws=n_draws, seed=12345)
 
-        gen = np.random.Generator(np.random.PCG64DXSM(12345))
-        u = gen.random((n_draws, n_a + n_b))
-        w = np.where(u < MAMMEN_P_NEG, MAMMEN_NEG, MAMMEN_POS)
+        w = multiplier_block(12345, n_draws, n_a + n_b)
         ra = plan.k_counts * (a.y - fit.prognostic(a.x)) / plan.m
         rb = fit.prognostic(b.x) - point
         expected = (w[:, :n_a] @ ra + w[:, n_a:] @ rb) / plan.n_b
@@ -425,9 +376,7 @@ def test_population_replicates_match_independent_evaluator():
     spec = BootstrapSpec(n_draws=32, seed=999)
     report = bootstrap_ci_population(plan, fit, a, b, point, spec)
 
-    gen = np.random.Generator(np.random.PCG64DXSM(999))
-    u = gen.random((32, 6))
-    w = np.where(u < MAMMEN_P_NEG, MAMMEN_NEG, MAMMEN_POS)
+    w = multiplier_block(999, 32, 6)
     ra = plan.k_weighted * (a.y - fit.prognostic(a.x)) / plan.m
     rb = b.d * (fit.prognostic(b.x) - point)
     expected = (w[:, :4] @ ra + w[:, 4:] @ rb) / b.d.sum()
