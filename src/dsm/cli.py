@@ -86,7 +86,7 @@ def cmd_impute(args):
     _, f_b, _, g_b = fit._scores(a, b)
 
     header = list(args.covariates) + [args.weight, "y_hat", "sampling_score", "prognostic_score"]
-    rows = [list(b.x[i]) + [b.d[i], yhat[i], f_b[i], g_b[i]] for i in range(b.n)]
+    rows = (list(b.x[i]) + [b.d[i], yhat[i], f_b[i], g_b[i]] for i in range(b.n))
     write_csv(args.out, header, rows)
     write_meta(args.out + ".meta", _fit_meta(args, fit, plan))
 

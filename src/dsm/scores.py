@@ -112,8 +112,10 @@ def _expit(x):
 
 
 def _take_cols(x, cols) -> np.ndarray:
+    """The float64 columns cols of x (all when None), in C order: the fit's
+    BLAS calls pick their kernels, and so their bits, by memory layout."""
     x = np.asarray(x, dtype=np.float64)
-    return x if cols is None else x[:, list(cols)]
+    return np.ascontiguousarray(x if cols is None else x[:, list(cols)])
 
 
 def _linear(theta, x) -> np.ndarray:
@@ -202,12 +204,9 @@ def _standardize_columns(x):
 
 
 def _design(x, mu, sd):
-    """[1, (x - mu) / sd] built in one array, in the memory order that
-    np.column_stack gives (x's own: F when x is column-major, else C):
-    the fit's BLAS calls pick their kernels, and so their bits, by layout."""
+    """[1, (x - mu) / sd] built in one C-ordered array."""
     n, p = x.shape
-    column_major = n > 1 and p > 1 and abs(x.strides[0]) < abs(x.strides[1])
-    dm = np.empty((n, p + 1), order="F" if column_major else "C")
+    dm = np.empty((n, p + 1))
     dm[:, 0] = 1.0
     np.subtract(x, mu, out=dm[:, 1:])
     dm[:, 1:] /= sd

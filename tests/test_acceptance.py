@@ -6,8 +6,6 @@ replications, so each comparison carries a Monte Carlo tolerance.
 Everything runs at seed 101.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 

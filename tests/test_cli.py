@@ -572,6 +572,17 @@ def test_constant_covariate_is_named_by_header(tmp_path, capsys, cmd):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_collinear_covariates_exit_numeric(tmp_path, capsys):
+    # x2 = 2 x1: neither column is constant, but the pooled design is
+    # rank deficient, which the fit says before any Newton step.
+    xa, y, xb, d = _dataset(np.random.default_rng(7))
+    xa[:, 1], xb[:, 1] = 2 * xa[:, 0], 2 * xb[:, 0]
+    pa, pb = _write_pair(tmp_path, xa, y, xb, d)
+    assert main(_base_args("estimate", pa, pb, tmp_path / "o.csv")) == 3
+    assert capsys.readouterr().err == "dsm: pooled design matrix is rank deficient\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("cmd", ["impute", "estimate"])
 @pytest.mark.parametrize("weights, x1, message", [
     # Two 1e308 weights sum to inf: said so, instead of 100 Newton steps of

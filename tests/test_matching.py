@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 import dsm.matching as matching
 from dsm import (
-    InnerNeighbors,
     JTooLarge,
-    MatchPlan,
     MTooLarge,
     ScoreMatrix,
     find_inner_neighbors,

@@ -361,12 +361,33 @@ def _layouts():
 
 @pytest.mark.parametrize("name", list(_layouts()))
 def test_design_equals_column_stack_in_bytes_and_memory_order(name):
-    # The fit's BLAS calls pick their kernels by layout, so the design keeps
-    # the order np.column_stack gave it: x's own, F for column-major views.
+    # The fit's BLAS calls pick their kernels by layout, so the design is
+    # built in C order whatever x's own: its bits then follow its values.
     x = _layouts()[name]
     mu, sd = x.mean(axis=0), np.linspace(0.5, 2.0, x.shape[1])
     want = np.column_stack([np.ones(x.shape[0]), (x - mu) / sd])
     got = dsm_scores._design(x, mu, sd)
-    assert got.shape == want.shape and got.tobytes("A") == want.tobytes("A")
-    assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
-        want.flags.c_contiguous, want.flags.f_contiguous)
+    assert got.flags.c_contiguous and np.array_equal(got, want)
+    if x.flags.c_contiguous:
+        assert got.tobytes("A") == want.tobytes("A")
+
+
+def test_fit_depends_on_the_covariate_values_only():
+    # Neither spelling every column out nor a Fortran-ordered copy of the
+    # rows may move a bit of the fit or of its scores.
+    a, b = _pair(0)
+    every = tuple(range(a.x.shape[1]))
+    fit, spelled = fit_scores(a, b), fit_scores(a, b, cols_r=every, cols_y=every)
+    for name in ("theta_r", "theta_y", "f", "g", "iterations", "grad_norm"):
+        got, want = getattr(spelled, name), getattr(fit, name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+    x = np.vstack([a.x, b.x])
+    for model in (fit.propensity, fit.prognostic):
+        assert model(np.asfortranarray(x)).tobytes() == model(x).tobytes()
+
+
+def test_collinear_covariates_fail_the_pooled_rank_check():
+    a, b = _pair(0, k=1)
+    a, b = SampleA(np.hstack([a.x, 2 * a.x]), a.y), SampleB(np.hstack([b.x, 2 * b.x]), b.d)
+    with pytest.raises(RankDeficient, match="^pooled design matrix is rank deficient$"):
+        fit_scores(a, b)
