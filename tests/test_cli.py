@@ -414,6 +414,18 @@ def test_unwritable_output_exits_schema(sample_files, tmp_path, capsys, blocked)
     assert capsys.readouterr().err == f"dsm: {tmp_path / blocked}: Is a directory\n"
 
 
+@pytest.mark.parametrize("blocked", ["o.csv", "o.csv.meta"])
+def test_blocked_output_exits_before_loading(sample_files, tmp_path, monkeypatch, capsys, blocked):
+    # Both output paths are checked up front, so a blocked sidecar cannot
+    # leave the CSV written without its .meta.
+    monkeypatch.setattr(cli, "load_samples", _never_called)
+    (tmp_path / blocked).mkdir()
+    pa, pb = sample_files
+    assert main(_base_args("estimate", pa, pb, tmp_path / "o.csv")) == 2
+    assert capsys.readouterr().err == f"dsm: {tmp_path / blocked}: Is a directory\n"
+    assert not (tmp_path / "o.csv").is_file()
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_full_device_output_names_its_file(capsys):
     # Writes to /dev/full fail with ENOSPC, an OSError without a filename.
@@ -618,14 +630,18 @@ def test_dominant_weight_is_named(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def test_extreme_propensity_warning_is_one_dsm_line(tmp_path, capsys):
-    # B weights of 1e6 push sample A's fitted propensities below 1e-6: the
-    # report is still written, with one warning line in the CLI's format
-    # instead of Python's file:line display.
+def _extreme_weight_files(tmp_path):
+    # B weights of 1e6 push sample A's fitted propensities below 1e-6.
     rng = np.random.default_rng(0)
     xa, xb = rng.normal(size=(40, 2)), rng.normal(size=(80, 2))
     y = xa.sum(axis=1) + rng.normal(size=40)
-    pa, pb = _write_pair(tmp_path, xa, y, xb, np.full(80, 1e6))
+    return _write_pair(tmp_path, xa, y, xb, np.full(80, 1e6))
+
+
+def test_extreme_propensity_warning_is_one_dsm_line(tmp_path, capsys):
+    # The report is still written, with one warning line in the CLI's
+    # format instead of Python's file:line display.
+    pa, pb = _extreme_weight_files(tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(_base_args("estimate", pa, pb, tmp_path / "o.csv", bootstrap=20)) == 0
@@ -1075,6 +1091,76 @@ def test_estimate_byte_identical_across_blas_thread_counts(sample_files, tmp_pat
         assert proc.returncode == 0, proc.stderr
         outputs.append((out.read_bytes(), Path(str(out) + ".meta").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+# -- interpreter exit ---------------------------------------------------
+
+# Registered before dsm loads, so it runs after every atexit handler dsm
+# registers and prints how many objects the exit's collections will skip.
+_EXIT_PROBE = ("import atexit, gc\n"
+               "atexit.register(lambda: print('frozen', gc.get_freeze_count(), flush=True))\n")
+
+
+def _frozen_at_exit(stdout):
+    *_, last = stdout.splitlines()
+    assert last.startswith("frozen "), stdout
+    return int(last.split()[1])
+
+
+def test_the_cli_freezes_the_heap_at_exit_not_at_import():
+    code = _EXIT_PROBE + "import dsm.cli\nprint('at import', gc.get_freeze_count())\n"
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "at import 0"
+    assert _frozen_at_exit(proc.stdout) > 0
+
+
+@pytest.mark.parametrize("argv, status, stream, line", [
+    (["--version"], 0, "stdout", "dsm "),
+    (["impute", "--sample-a", "absent.csv", "--sample-b", "absent.csv",
+      "--covariates", "x1", "--out", "o.csv"], 2, "stderr", "dsm: absent.csv: No such file"),
+], ids=["version", "input-error"])
+def test_every_cli_exit_freezes_the_heap(tmp_path, monkeypatch, argv, status, stream, line):
+    # As `python -m dsm.cli`, with the probe registered first.
+    monkeypatch.chdir(tmp_path)
+    code = _EXIT_PROBE + (f"import runpy, sys\nsys.argv = ['dsm', *{argv!r}]\n"
+                          "runpy.run_module('dsm.cli', run_name='__main__', alter_sys=True)\n")
+    proc = run_python(["-c", code])
+    assert proc.returncode == status, proc.stderr
+    assert getattr(proc, stream).startswith(line), proc.stderr
+    assert _frozen_at_exit(proc.stdout) > 0
+
+
+def test_a_library_caller_is_not_frozen():
+    code = _EXIT_PROBE + (
+        "import sys\nimport numpy as np\nimport dsm\n"
+        "r = np.random.default_rng(0)\n"
+        "a = dsm.SampleA(r.uniform(0, 2, (30, 2)), r.normal(size=30))\n"
+        "b = dsm.SampleB(r.uniform(0, 2, (60, 2)), np.full(60, 3.0))\n"
+        "fit = dsm.fit_scores(a, b)\n"
+        "dsm.find_matches(dsm.build_score_matrix(a, b, fit), 3)\n"
+        "print('dsm.cli' in sys.modules)\n")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "False"
+    assert _frozen_at_exit(proc.stdout) == 0
+
+
+def test_a_warning_run_delivers_its_line_and_whole_outputs(tmp_path, capsys):
+    # The fresh process writes what an in-process run writes, up to the
+    # last byte of the .meta, and still prints its warning line.
+    pa, pb = _extreme_weight_files(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main(_base_args("estimate", pa, pb, tmp_path / "in.csv", bootstrap=20)) == 0
+    proc = run_python(["-m", "dsm.cli", *_base_args("estimate", pa, pb, tmp_path / "o.csv",
+                                                    bootstrap=20)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == capsys.readouterr().err
+    assert proc.stderr.startswith("dsm: warning: minimum fitted propensity")
+    for suffix in ("", ".meta"):
+        written = (tmp_path / f"o.csv{suffix}").read_bytes()
+        assert written == (tmp_path / f"in.csv{suffix}").read_bytes()
 
 
 # -- generated CSV text -------------------------------------------------
