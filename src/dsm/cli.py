@@ -34,6 +34,8 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 # import, which misses scipy, nor in main(), which freezes a caller's heap.
 atexit.register(gc.freeze)
 
+import numpy as np
+
 from . import __version__
 from .errors import DsmError, ExtremePropensityWarning
 from .io import RunConfig, load_samples, write_csv, write_meta
@@ -65,6 +67,8 @@ _ESTIMATES = (
 
 _TABLE_MODE = {"1": "none", "2": "none", "3": "cubic", "a1": "extreme", "4": "none"}
 
+_IMPUTE_BLOCK = 16_384  # B units `impute` turns into Python rows at a time
+
 
 def _fit_meta(args, fit, plan):
     return {
@@ -93,7 +97,9 @@ def cmd_impute(args):
     _, f_b, _, g_b = fit._scores(a, b)
 
     header = list(args.covariates) + [args.weight, "y_hat", "sampling_score", "prognostic_score"]
-    rows = (list(b.x[i]) + [b.d[i], yhat[i], f_b[i], g_b[i]] for i in range(b.n))
+    cols = (b.x, b.d, yhat, f_b, g_b)
+    rows = (row for i in range(0, b.n, _IMPUTE_BLOCK)
+            for row in np.column_stack([c[i:i + _IMPUTE_BLOCK] for c in cols]).tolist())
     write_csv(args.out, header, rows)
     write_meta(args.out + ".meta", _fit_meta(args, fit, plan))
 

@@ -1,9 +1,10 @@
 """CSV loading and writing for the command-line interface.
 
 Files are plain comma-separated text with a header row and '.' decimal
-marker.  Floats are written with repr, which round-trips exactly and
-makes repeated runs byte-identical.  Every command also writes a flat
-key=value metadata sidecar next to its main output.
+marker.  Cells are written as `str()` writes them: floats and float64s as
+Python writes a float, which round-trips exactly and makes repeated runs
+byte-identical; other types, such as `np.float32` or `bool`, in their own
+form.  Every command also writes a flat key=value metadata sidecar.
 """
 
 from __future__ import annotations
@@ -126,14 +127,6 @@ def load_samples(path_a, path_b, config: RunConfig):
     return SampleA(block_a[:, :-1], block_a[:, -1]), SampleB(block_b[:, :-1], d)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 @contextmanager
 def _naming(path):
     """Name path in an OSError raised without a filename (ENOSPC on close)."""
@@ -145,16 +138,16 @@ def _naming(path):
 
 
 def write_csv(path, header, rows):
-    """Write a rectangular table; floats via repr (exact round-trip)."""
+    """Write a rectangular table, each cell as `str()` writes it: floats
+    via repr (exact round-trip), `np.float32` or `bool` in their own form."""
     with _naming(path), open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_meta(path, mapping):
     """Flat key=value sidecar, one entry per line, insertion order."""
     with _naming(path), open(path, "w") as fh:
         for key, value in mapping.items():
-            fh.write(f"{key}={_fmt(value)}\n")
+            fh.write(f"{key}={value}\n")

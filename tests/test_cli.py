@@ -749,6 +749,27 @@ def test_impute_rerun_byte_identical(sample_files, tmp_path):
     assert (tmp_path / "r1.csv.meta").read_text() == (tmp_path / "r2.csv.meta").read_text()
 
 
+def test_impute_csv_equals_the_library_across_blocks(sample_files, tmp_path, monkeypatch):
+    from dsm.matching import find_matches, impute
+    from dsm.scores import build_score_matrix, fit_scores
+
+    # 40 B rows in blocks of 7: five full blocks and a short last one.
+    monkeypatch.setattr(cli, "_IMPUTE_BLOCK", 7)
+    pa, pb = sample_files
+    out = tmp_path / "imp.csv"
+    assert main(_base_args("impute", pa, pb, out)) == 0
+
+    a, b = load_samples(pa, pb, RunConfig(covariates=("x1", "x2")))
+    fit = fit_scores(a, b)
+    yhat = impute(find_matches(build_score_matrix(a, b, fit), 3, d_b=b.d), a.y)
+    _, f_b, _, g_b = fit._scores(a, b)
+    lines = ["x1,x2,d,y_hat,sampling_score,prognostic_score"]
+    for i in range(b.n):
+        cells = [*b.x[i], b.d[i], yhat[i], f_b[i], g_b[i]]
+        lines.append(",".join(repr(float(v)) for v in cells))
+    assert out.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
+
 # -- estimate -----------------------------------------------------------
 
 def test_estimate_report_layout(sample_files, tmp_path):
@@ -1242,6 +1263,53 @@ def test_write_meta_format(tmp_path):
     path = tmp_path / "x.meta"
     write_meta(path, {"a": 1, "b": 0.1, "c": "text", "d": np.int64(7)})
     assert path.read_text() == "a=1\nb=0.1\nc=text\nd=7\n"
+
+
+# Each cell type a caller passes, with the text written for it: a string
+# as it is, an integer in decimal, a float as Python's repr.
+_CELL_TEXT = [
+    ("text", "text"),
+    (7, "7"),
+    (np.int64(-7), "-7"),
+    (2 ** 52, "4503599627370496"),
+    (np.int64(2 ** 52), "4503599627370496"),
+    (0.1, "0.1"),
+    (np.float64(0.1), "0.1"),
+    (-0.0, "-0.0"),
+    (np.float64(-0.0), "-0.0"),
+    (1e16, "1e+16"),
+    (np.float64(1e16), "1e+16"),
+    (1e-5, "1e-05"),
+    (np.float64(1e-5), "1e-05"),
+    (5e-324, "5e-324"),
+    (np.float64(5e-324), "5e-324"),
+    (2.0 ** 52, "4503599627370496.0"),
+    (np.float64(2.0 ** 52), "4503599627370496.0"),
+]
+
+
+@pytest.mark.parametrize("value, text", _CELL_TEXT)
+def test_writers_give_each_cell_type_its_text(tmp_path, value, text):
+    csv_path, meta_path = tmp_path / "x.csv", tmp_path / "x.meta"
+    write_csv(csv_path, ("v", "w"), [(value, value)])
+    write_meta(meta_path, {"v": value})
+    assert csv_path.read_text() == f"v,w\n{text},{text}\n"
+    assert meta_path.read_text() == f"v={text}\n"
+
+
+def test_float64_str_is_python_float_repr():
+    # The csv module writes a numpy float64 cell with str(), so numpy rows
+    # keep Python's float text only while the two agree: checked on random
+    # finite bit patterns and on values across every float text form.
+    rng = np.random.default_rng(11)
+    bits = np.frombuffer(rng.bytes(8 * 12_000), dtype=np.float64)
+    values = np.concatenate([
+        bits[np.isfinite(bits)][:10_000],
+        rng.standard_normal(10_000) * np.exp(rng.uniform(-30.0, 45.0, 10_000)),
+    ])
+    assert values.size == 20_000
+    mismatches = [v for v in values if str(v) != repr(float(v))]
+    assert mismatches == []
 
 
 def test_csv_float_round_trip(tmp_path):
