@@ -72,6 +72,7 @@ class _Sample:
         if x.shape[0] < 1:
             raise EmptySample(f"{label} is empty")
         object.__setattr__(self, "x", x)
+        v = np.ascontiguousarray(v)  # BLAS picks its dot kernel by stride, so results follow values
         object.__setattr__(self, field, v)
         return v
 

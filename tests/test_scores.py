@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 import dsm.scores as dsm_scores
@@ -18,13 +20,17 @@ from dsm import (
     SampleB,
     Separation,
     ScoreMatrix,
+    analytic_variance,
     bootstrap_ci_debiased,
+    bootstrap_ci_plain,
     bootstrap_ci_population,
     build_score_matrix,
+    find_inner_neighbors,
     find_matches,
     fit_prognostic,
     fit_propensity,
     fit_scores,
+    impute,
     point_estimates,
 )
 from support import TOY_D, TOY_XA, TOY_XB, grid_argmax
@@ -384,6 +390,68 @@ def test_fit_depends_on_the_covariate_values_only():
     x = np.vstack([a.x, b.x])
     for model in (fit.propensity, fit.prognostic):
         assert model(np.asfortranarray(x)).tobytes() == model(x).tobytes()
+
+
+# The same values as a caller may hold them: contiguous, column-major,
+# strided views (a vector as one column of a wider block, as `load_samples`
+# hands over the weights), sliced views off by one element, and lists.
+_MATRIX_SPELLINGS = {
+    "C": np.array,
+    "F": np.asfortranarray,
+    "strided": lambda x: np.repeat(x, 2, axis=0)[::2],
+    "sliced": lambda x: np.hstack([x[:, -1:], x])[:, 1:],
+    "list": lambda x: x.tolist(),
+}
+_VECTOR_SPELLINGS = {
+    "C": np.array,
+    "strided": lambda v: np.column_stack([v] * 5)[:, 4],
+    "sliced": lambda v: np.concatenate([v[-1:], v])[1:],
+    "list": lambda v: v.tolist(),
+}
+
+
+def _chain_bytes(a, b):
+    """Every number the library chain produces, as bytes by name."""
+    fit = fit_scores(a, b)
+    smat = build_score_matrix(a, b, fit)
+    plan = find_matches(smat, 3, d_b=b.d)
+    inner = find_inner_neighbors(smat, 6)
+    est = point_estimates(plan, fit, a, b)
+    spec = BootstrapSpec(n_draws=50, seed=5)
+    parts = {
+        "fit": fit, "smat": smat, "plan": plan, "inner": inner, "est": est,
+        "ci_plain": bootstrap_ci_plain(plan, a.y, est.mu_b, spec),
+        "ci_debiased": bootstrap_ci_debiased(plan, fit, a, b, est.mu_b_debiased, spec),
+        "ci_population": bootstrap_ci_population(plan, fit, a, b, est.mu_dsm_debiased, spec),
+    }
+    out = {
+        "impute": impute(plan, a.y).tobytes(),
+        "variance": np.float64(analytic_variance(plan, a.y, est.mu_b, inner)).tobytes(),
+    }
+    for name, part in parts.items():
+        for key, value in vars(part).items():
+            if isinstance(value, (np.ndarray, int, float)):
+                out[f"{name}.{key}"] = np.asarray(value).tobytes()
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2),
+    xa=st.sampled_from(sorted(_MATRIX_SPELLINGS)),
+    xb=st.sampled_from(sorted(_MATRIX_SPELLINGS)),
+    y=st.sampled_from(sorted(_VECTOR_SPELLINGS)),
+    d=st.sampled_from(sorted(_VECTOR_SPELLINGS)),
+)
+def test_results_depend_on_the_sample_values_only(seed, xa, xb, y, d):
+    a, b = _pair(seed, n_b=60)
+    want = _chain_bytes(a, b)
+    got = _chain_bytes(
+        SampleA(_MATRIX_SPELLINGS[xa](a.x), _VECTOR_SPELLINGS[y](a.y)),
+        SampleB(_MATRIX_SPELLINGS[xb](b.x), _VECTOR_SPELLINGS[d](b.d)),
+    )
+    assert len(want) > 40 and got.keys() == want.keys()
+    assert [name for name in want if got[name] != want[name]] == []
 
 
 def test_collinear_covariates_fail_the_pooled_rank_check():
