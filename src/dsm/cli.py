@@ -143,9 +143,6 @@ def _simulate_base(args) -> ScenarioSpec:
         raise ValueError("--bootstrap applies to table 4 only: the other tables build no intervals")
     if args.table == "4" and args.n_boot is not None and args.n_boot < 2:
         raise ValueError("--bootstrap must be at least 2 for table 4: its coverage needs intervals")
-    for option, value in (("--reps", args.reps), ("--m", args.m)):
-        if value is not None and value < 1:
-            raise ValueError(f"{option} must be at least 1, got {value}")
     reps, boot = _SCALES[args.scale]
     return ScenarioSpec(
         nonlinearity=_TABLE_MODE[args.table],
@@ -274,6 +271,10 @@ def main(argv=None) -> int:
         for path in (args.out, args.out + ".meta"):
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for option in ("reps", "m", "j"):  # before any CSV is read or any work done
+            value = getattr(args, option, None)
+            if value is not None and value < 1:
+                raise ValueError(f"--{option} must be at least 1, got {value}")
         with warnings.catch_warnings():
             warnings.showwarning = partial(_show_warning, warnings.showwarning)
             handlers[args.command](args)

@@ -4,13 +4,12 @@ Every sample-B unit is matched, with replacement, to its M closest
 sample-A donors under Euclidean distance on the two score columns, and
 each sample-A unit to its J closest other sample-A units (used later for
 residual-variance estimation), by an exact k-d tree search (Friedman,
-Bentley & Finkel 1977).  A unit whose M-th distance ties the farthest of
-its M + 1 tree candidates is settled among the donors in the tree's ball
-of that radius.  Query rows are searched in blocks against one tree and
-written into the preallocated results, so memory is the results plus
-temporaries for one block of rows, and 1024 times the largest tie group.
-Distance ties are broken by ascending donor index, which keeps results
-reproducible.
+Bentley & Finkel 1977).  One step orders a row's k nearest tree
+candidates by (distance, donor index), ties going to the lower index.  A
+row whose M-th distance ties its farthest candidate is redone by that
+step with k the count of the tree's ball of that radius.  Rows are
+searched in blocks against one tree, so memory is the results plus one
+block's temporaries, and 1024 times the largest tie group.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .scores import ScoreMatrix
 __all__ = ["MatchPlan", "InnerNeighbors", "find_matches", "find_inner_neighbors", "impute"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchPlan:
     """Matching results for one score matrix.
 
@@ -53,7 +52,7 @@ class MatchPlan:
         return self.j_sets.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnerNeighbors:
     """For each sample-A unit, the indices of its J nearest other
     sample-A units in score space (self excluded), nearest first."""
@@ -62,15 +61,10 @@ class InnerNeighbors:
     l_sets: np.ndarray
 
 
-# Tied rows per ball query: memory is this many times the largest tie group.
+# Tied rows per redo: its temporaries scale with this times the largest tie group.
 _BALL_BATCH = 1024
 # Query rows per search block: the search's temporaries scale with this, not n.
 _BLOCK = 16384
-
-
-def _sq_distances(points, donors):
-    # One column pair at a time; donors is (n_donors, 2) or (n_points, k, 2).
-    return (points[:, :1] - donors[..., 0]) ** 2 + (points[:, 1:] - donors[..., 1]) ** 2
 
 
 def _kdtree():
@@ -95,6 +89,18 @@ def _kdtree():
     return sys.modules[name].cKDTree
 
 
+def _ordered(tree, donors, points, k, m):
+    """Indices and squared distances of each point's m nearest of its k tree
+    candidates by (distance, donor index), and its farthest candidate's d2."""
+    cand = tree.query(points, k=k)[1].reshape(-1, k)
+    near = donors[cand]
+    # Recomputed one column pair at a time, whatever the tree's arithmetic.
+    d2 = (points[:, :1] - near[..., 0]) ** 2 + (points[:, 1:] - near[..., 1]) ** 2
+    order = np.lexsort((cand, d2))[:, :m]
+    rows = np.arange(len(points))[:, None]
+    return cand[rows, order], d2[rows, order], d2.max(axis=1)
+
+
 def _nearest(points, donors, m):
     """Yield (rows, indices, squared distances) of each block of points'
     m nearest donors, ordered by (distance, donor index), rows being the
@@ -104,28 +110,20 @@ def _nearest(points, donors, m):
     k = min(m + 1, len(donors))
     for lo in range(0, len(points), _BLOCK):
         block = points[lo : lo + _BLOCK]
-        cand = tree.query(block, k=k)[1].reshape(-1, k)
-        cand_d2 = _sq_distances(block, donors[cand])
-        # Ordered by recomputed d2, then index, whatever the tree's arithmetic.
-        order = np.lexsort((cand, cand_d2))[:, :m]
-        idx = np.take_along_axis(cand, order, axis=1)
-        dsq = np.take_along_axis(cand_d2, order, axis=1)
+        idx, dsq, last = _ordered(tree, donors, block, k, m)
         # A donor left out is no nearer than the farthest candidate, up to the
-        # tree's rounding; a row whose m-th distance reaches that is settled
-        # from the ball of radius sqrt(m-th d2), widened past the tree's
-        # rounding so it holds every donor at or under that d2.
-        last = cand_d2.max(axis=1) * (1 - 1e-12) if k < len(donors) else np.inf
+        # tree's rounding.  A row whose m-th d2 reaches that is redone with k
+        # its ball's count at radius sqrt(m-th d2), widened past that rounding,
+        # so the k nearest hold every donor at or under that d2.
+        last = last * (1 - 1e-12) if k < len(donors) else np.inf
         tied = np.flatnonzero(dsq[:, -1] >= last)
+        radii = np.sqrt(dsq[tied, -1]) * (1 + 1e-9)
+        counts = tree.query_ball_point(block[tied], radii, return_length=True)
+        # Sorted by count, so each batch's k, its last count, fits its rows closely.
+        tied, counts = tied[np.argsort(counts, kind="stable")], np.sort(counts)
         for t in range(0, len(tied), _BALL_BATCH):
-            rows = tied[t : t + _BALL_BATCH]
-            radii = np.sqrt(dsq[rows, -1]) * (1 + 1e-9)
-            balls = tree.query_ball_point(block[rows], radii, return_sorted=False)
-            for r, ball in zip(rows, balls):
-                ball = np.array(ball)
-                d2 = _sq_distances(block[r : r + 1], donors[ball])[0]
-                order = np.lexsort((ball, d2))[:m]
-                idx[r] = ball[order]
-                dsq[r] = d2[order]
+            rows, k_ball = tied[t : t + _BALL_BATCH], counts[t : t + _BALL_BATCH][-1]
+            idx[rows], dsq[rows], _ = _ordered(tree, donors, block[rows], k_ball, m)
         yield slice(lo, lo + len(block)), idx, dsq
 
 

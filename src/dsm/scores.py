@@ -49,7 +49,7 @@ _MAX_ITER = 100
 _COEF_LIMIT = 1e6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Sample:
     """Covariate rows of one sample, checked together with the per-unit
     vector its subclass adds."""
@@ -81,7 +81,7 @@ class _Sample:
         return self.x.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleA(_Sample):
     """Volunteer (nonprobability) sample: covariates and observed outcome."""
 
@@ -91,7 +91,7 @@ class SampleA(_Sample):
         self._validate("y", "sample A")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleB(_Sample):
     """Reference probability sample: covariates and design weights d_i."""
 
@@ -124,7 +124,7 @@ def _linear(theta, x) -> np.ndarray:
     return theta[0] + x @ theta[1:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreFit:
     """Fitted score models, the samples they were fitted on, their scores
     there, and diagnostics.
@@ -168,7 +168,7 @@ class ScoreFit:
         return self.f[: a.n], self.f[a.n :], self.g[: a.n], self.g[a.n :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """Pooled normalized scores: column 0 the sampling score, column 1 the
     prognostic score, each scaled to unit pooled standard deviation.

@@ -125,7 +125,7 @@ class ScenarioSpec:
             raise ValueError("seed must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationFrame:
     """One realized finite population with its design quantities."""
 
@@ -389,7 +389,7 @@ class EstimatorRow:
     coverage: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimReport:
     """Raw per-replication results of one Monte Carlo run.
 

@@ -64,7 +64,7 @@ class BootstrapSpec:
             raise ValueError("seed must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalReport:
     """A point estimate with its percentile-inverted bootstrap interval.
 

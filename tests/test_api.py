@@ -80,3 +80,40 @@ def test_public_validation_messages(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
+
+
+def _array_records():
+    """One of each public record that holds arrays, built on small data."""
+    rng = np.random.default_rng(5)
+    a = dsm.SampleA(rng.uniform(0, 2, (30, 2)), rng.normal(size=30))
+    b = dsm.SampleB(rng.uniform(0, 2, (60, 2)), np.full(60, 3.0))
+    fit = dsm.fit_scores(a, b)
+    smat = dsm.build_score_matrix(a, b, fit)
+    plan = dsm.find_matches(smat, 3)
+    spec = dsm.BootstrapSpec(n_draws=20)
+    arr = np.arange(4.0)
+    return [
+        a, b, fit, smat, plan, dsm.find_inner_neighbors(smat, 2),
+        dsm.bootstrap_ci_plain(plan, a.y, 0.0, spec),
+        dsm.PopulationFrame(x=arr[:, None], y=arr, cond_mean=arr, pi_a=arr, pi_b=arr, c_pps=1.0),
+        dsm.SimReport(n_ok=4, n_failed=0, failures=(), estimates={"mu_b": arr},
+                      targets={"target_b": arr}, coverage={}),
+    ]
+
+
+def test_array_records_compare_and_hash_by_identity():
+    # Field-wise == would ask an array for its truth value, and a field-wise
+    # hash would hash an array.
+    for record in _array_records():
+        twin = type(record).__new__(type(record))
+        twin.__dict__.update(vars(record))
+        assert record == record and record != twin, type(record).__name__
+        assert hash(record) == hash(record) and record in {record} and twin not in {record}
+    x, y = np.zeros((3, 2)), np.zeros(3)
+    assert dsm.SampleA(x, y) != dsm.SampleA(x, y)
+
+
+def test_scalar_records_keep_value_equality():
+    assert dsm.BootstrapSpec(n_draws=5) == dsm.BootstrapSpec(n_draws=5)
+    assert dsm.ScenarioSpec(m=3) == dsm.ScenarioSpec(m=3) != dsm.ScenarioSpec(m=4)
+    assert len({dsm.ScenarioSpec(), dsm.ScenarioSpec()}) == 1

@@ -528,7 +528,20 @@ def test_bad_j_fails_before_any_bootstrap(sample_files, tmp_path, monkeypatch, c
     assert main(_base_args("estimate", pa, pb, out, j=5000)) == 3
     assert capsys.readouterr().err == "dsm: j=5000 exceeds the 11 other donors available\n"
     assert main(_base_args("estimate", pa, pb, out, j=0)) == 3
-    assert capsys.readouterr().err == "dsm: j must be at least 1\n"
+    assert capsys.readouterr().err == "dsm: --j must be at least 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("impute", "m", 0), ("estimate", "m", -2), ("estimate", "j", 0), ("estimate", "j", -1),
+])
+def test_counts_below_one_fail_before_the_samples_load(
+        sample_files, tmp_path, monkeypatch, capsys, command, option, value):
+    monkeypatch.setattr(cli, "load_samples", _never_called)
+    pa, pb = sample_files
+    out = tmp_path / "o.csv"
+    assert main(_base_args(command, pa, pb, out, **{option: value})) == 3
+    assert capsys.readouterr().err == f"dsm: --{option} must be at least 1, got {value}\n"
     assert not out.exists()
 
 

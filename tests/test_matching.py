@@ -232,20 +232,26 @@ def test_impute_rejects_wrong_length():
 
 # -- the k-d tree search: candidates, recomputed distances, redone rows --
 
-def _spy_full_rows(monkeypatch, widths=False):
-    """Record the point count (the donor count, given widths) of every
-    per-row distance computation (a tied row settled from its ball),
-    leaving results unchanged."""
-    rows = []
-    real = matching._sq_distances
+def _spy_redos(monkeypatch):
+    """Record (row count, k) of every redo of tied rows, leaving results
+    unchanged.  A tree's first candidate step is its search's one block
+    (these tests stay under one block); every later step is a redo."""
+    calls, trees = [], []
+    real = matching._ordered
 
-    def spy(points, donors):
-        if donors.ndim == 2:
-            rows.append(len(donors) if widths else len(points))
-        return real(points, donors)
+    def spy(tree, donors, points, k, m):
+        if any(t is tree for t in trees):
+            calls.append((len(points), k))
+        else:
+            trees.append(tree)
+        return real(tree, donors, points, k, m)
 
-    monkeypatch.setattr(matching, "_sq_distances", spy)
-    return rows
+    monkeypatch.setattr(matching, "_ordered", spy)
+    return calls
+
+
+def _redos_stay_small(calls, n_donors):
+    return all(rows <= matching._BALL_BATCH and k < n_donors for rows, k in calls)
 
 
 def test_more_exact_ties_than_candidates_match_oracle(monkeypatch):
@@ -258,10 +264,10 @@ def test_more_exact_ties_than_candidates_match_oracle(monkeypatch):
     za[copies] = za[copies[0]]
     zb = np.vstack([za[copies[0]], rng.normal(size=(8, 2))])
     scores = make_scores(za, zb)
-    redone = _spy_full_rows(monkeypatch)
+    redone = _spy_redos(monkeypatch)
     assert np.array_equal(find_matches(scores, 3).j_sets, oracle_match(za, zb, 3))
     assert np.array_equal(find_inner_neighbors(scores, 2).l_sets, oracle_inner(za, 2))
-    assert len(redone) >= 1 + 12 and set(redone) == {1}
+    assert sum(rows for rows, _ in redone) >= 1 + 12 and _redos_stay_small(redone, len(za))
 
 
 def _near_tie_donors():
@@ -283,18 +289,23 @@ def _near_tie_donors():
 class _TreeRoundingTheOtherWay:
     """Stands in for cKDTree: returns the m + 1 = 3 candidates a tree
     whose own rounding put donor 6 behind donors 1-5, and donor 5 ahead of
-    donors 2-4, would return, and the donors inside each queried radius."""
+    donors 2-4, would return; for a redo, the k nearest, farthest first;
+    and the count of donors inside each queried radius."""
 
     def __init__(self, data):
         self.data = data
 
-    def query(self, x, k):
-        assert k == 3
-        return None, np.array([[0, 1, 5]])
+    def _d2(self, x):
+        return ((self.data[None, :, :] - x[:, None, :]) ** 2).sum(axis=2)
 
-    def query_ball_point(self, x, r, return_sorted):
-        d2 = ((self.data[None, :, :] - x[:, None, :]) ** 2).sum(axis=2)
-        return [np.flatnonzero(row <= ri * ri).tolist() for row, ri in zip(d2, r)]
+    def query(self, x, k):
+        if k == 3:
+            return None, np.array([[0, 1, 5]])
+        return None, np.argsort(self._d2(x), axis=1, kind="stable")[:, k - 1 :: -1]
+
+    def query_ball_point(self, x, r, return_length):
+        assert return_length
+        return (self._d2(x) <= (r * r)[:, None]).sum(axis=1)
 
 
 def test_one_ulp_near_tie_at_the_mth_candidate_is_redone(monkeypatch):
@@ -308,9 +319,10 @@ def test_one_ulp_near_tie_at_the_mth_candidate_is_redone(monkeypatch):
     assert expected.tolist() == [[0, 6]]
     assert np.array_equal(find_matches(scores, 2).j_sets, expected)
     monkeypatch.setattr(matching, "_kdtree", lambda: _TreeRoundingTheOtherWay)
-    redone = _spy_full_rows(monkeypatch)
+    redone = _spy_redos(monkeypatch)
     assert np.array_equal(find_matches(scores, 2).j_sets, expected)
-    assert redone == [1]
+    # One row, redone over the 7 donors within 5 of it: 0-6, not 7 or 8.
+    assert redone == [(1, 7)] and _redos_stay_small(redone, len(za))
 
 
 def test_candidate_subset_search_agrees_with_oracle_on_continuous_scores():
@@ -340,10 +352,10 @@ def lattice_scores(n_a, n_b, seed):
 def test_lattice_ties_are_settled_without_a_row_over_every_donor(monkeypatch):
     za, zb = lattice_scores(2000, 4000, 11)
     scores = make_scores(za, zb)
-    widths = _spy_full_rows(monkeypatch, widths=True)
+    redone = _spy_redos(monkeypatch)
     assert np.array_equal(find_matches(scores, 3).j_sets, oracle_match(za, zb, 3))
     assert np.array_equal(find_inner_neighbors(scores, 6).l_sets, oracle_inner(za, 6))
-    assert len(widths) > 4000 and max(widths) < len(za)
+    assert sum(rows for rows, _ in redone) > 4000 and _redos_stay_small(redone, len(za))
 
 
 def test_zero_radius_balls_match_oracle(monkeypatch):
@@ -354,17 +366,35 @@ def test_zero_radius_balls_match_oracle(monkeypatch):
     za[rng.choice(np.arange(1, 60), size=8, replace=False)] = za[0]
     zb = np.vstack([rng.normal(size=(10, 2)), za[:1], za[:1]])
     scores = make_scores(za, zb)
-    widths = _spy_full_rows(monkeypatch, widths=True)
+    redone = _spy_redos(monkeypatch)
     for m in (1, 3, 5):
         assert np.array_equal(find_matches(scores, m).j_sets, oracle_match(za, zb, m))
     for j in (1, 3, 5):
         assert np.array_equal(find_inner_neighbors(scores, j).l_sets, oracle_inner(za, j))
-    assert 9 in widths and max(widths) < len(za)
+    assert 9 in [k for _, k in redone] and _redos_stay_small(redone, len(za))
+
+
+def test_light_ties_are_not_redone_with_a_heavy_groups_k(monkeypatch):
+    # Donors 0-299 are one point and 300-499 are 100 pairs; the rest are
+    # distinct.  The first 5 B rows sit on the heavy point, the next 100 on
+    # a pair each: at m = 1 each ties at d2 = 0, its ball holding 300 or 2.
+    monkeypatch.setattr(matching, "_BALL_BATCH", 64)
+    rng = np.random.default_rng(20)
+    za = rng.normal(size=(1000, 2))
+    za[:300] = za[0]
+    za[300:500:2] = za[301:500:2]
+    zb = np.vstack([za[:5], za[300:500:2]])
+    scores = make_scores(za, zb)
+    redone = _spy_redos(monkeypatch)
+    assert np.array_equal(find_matches(scores, 1).j_sets, oracle_match(za, zb, 1))
+    # By count: one batch of 64 light rows, then the other 36 with the heavy 5.
+    assert redone == [(64, 2), (41, 300)]
+    assert np.array_equal(find_inner_neighbors(scores, 1).l_sets, oracle_inner(za, 1))
 
 
 def test_lattice_ball_memory_is_bounded_by_the_batch():
-    # Ball lists hold one Python int per donor in the ball: 1024 tied rows
-    # at a time peak near 5 MiB here, every tied row at once near 16 MiB.
+    # A redo holds a few values per tied row and candidate: 1024 tied rows
+    # at a time peak near 3.5 MiB here, every tied row at once near 22 MiB.
     za, zb = lattice_scores(4000, 8000, 7)
     scores = make_scores(za, zb)
     find_matches(make_scores(za[:4], zb[:2]), 1)  # the k-d tree extension loads untraced
