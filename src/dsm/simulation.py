@@ -33,7 +33,7 @@ from .errors import (
 )
 from .estimators import point_estimates
 from .matching import find_matches
-from .scores import SampleA, SampleB, _expit, build_score_matrix, fit_scores
+from .scores import SampleA, SampleB, ScoreFit, _expit, build_score_matrix, fit_scores
 from .uncertainty import (
     BootstrapSpec,
     _corrected_column,
@@ -319,6 +319,7 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
     shared by every scenario, which only chooses each model's columns; so
     a replication is identical no matter how the work is scheduled.  A
     package error while drawing or building them fails every scenario.
+    Each model is fitted once per column set (see _fits).
     """
     rng = np.random.default_rng([spec.seed, s])
     try:
@@ -339,14 +340,16 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
         "sample_a_mean": float(a.y.mean()),
     }
     results, columns, flags = {}, [], []
+    fits = _fits(a, b, scenarios)
     for scenario in scenarios:
-        cols_y, cols_r = _MODEL_COLUMNS[scenario[0]], _MODEL_COLUMNS[scenario[1]]
+        fit = fits[scenario]
         try:
+            if isinstance(fit, DsmError):
+                raise fit
             with warnings.catch_warnings():
                 # distorted-covariate modes raise extreme-propensity warnings wholesale;
                 # they are dropped (recording min/max propensity is ROADMAP item 5)
                 warnings.simplefilter("ignore", ExtremePropensityWarning)
-                fit = fit_scores(a, b, cols_r=cols_r, cols_y=cols_y)
                 plan = find_matches(build_score_matrix(a, b, fit), spec.m, d_b=b.d)
                 est = point_estimates(plan, fit, a, b)
         except DsmError as err:
@@ -362,6 +365,30 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
     for (out, flag, target), ci in zip(flags, _intervals(bs, columns) if columns else ()):
         out[flag] = float(ci.lo < out[target] < ci.hi)
     return results
+
+
+def _fits(a, b, scenarios) -> dict:
+    """{scenario: its ScoreFit, or the package error its fit raised}.
+
+    A model sees only its own columns, so the pure scenarios (TT, FF) hold
+    every distinct fit.  When both are requested and fit, a mixed scenario
+    takes its propensity half from the pure fit of its sampling letter and
+    its prognostic half from the other: the very numbers fit_scores
+    computes from those columns.  Otherwise it calls fit_scores itself, so
+    it fails, or not, exactly as it would alone.
+    """
+    fits = {}
+    for y, r in sorted(scenarios, key=lambda sc: sc[0] != sc[1]):  # the pure scenarios first
+        prop, prog = fits.get(r + r), fits.get(y + y)
+        if y != r and isinstance(prop, ScoreFit) and isinstance(prog, ScoreFit):
+            fits[y + r] = replace(prop, theta_y=prog.theta_y, g=prog.g, sd_g=prog.sd_g,
+                                  cols_y=prog.cols_y)
+            continue
+        try:
+            fits[y + r] = fit_scores(a, b, cols_r=_MODEL_COLUMNS[r], cols_y=_MODEL_COLUMNS[y])
+        except DsmError as err:
+            fits[y + r] = err
+    return fits
 
 
 # Estimator name -> target series it chases.

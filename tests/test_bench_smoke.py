@@ -41,15 +41,16 @@ def test_bench_self_test_passes():
 
 
 def test_traced_simulate_span_counts(tmp_path):
-    # One population per replication serves all four scenarios; each
-    # scenario fits its own scores.
+    # One population per replication serves all four scenarios, and each
+    # model is fitted once per column set: the two pure scenarios' fits
+    # hold the halves of the two mixed ones.
     spans = tmp_path / "spans.json"
     _run(["bench/traced_cli.py", "--spans", str(spans), "--",
           "simulate", "--table", "2", "--reps", "3", "--out", str(tmp_path / "t2.csv")],
          DSM_THREADS="1")
     calls = Counter(s["name"] for s in json.loads(spans.read_text())["spans"])
     assert calls["simulation.gen_population"] == 3
-    assert calls["scores.fit_scores"] == 12
+    assert calls["scores.fit_scores"] == 6
 
 
 def test_traced_estimate_spans_every_pipeline_layer(tmp_path):

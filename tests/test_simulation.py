@@ -6,7 +6,7 @@ import concurrent.futures
 import multiprocessing
 import os
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -618,17 +618,17 @@ def test_scenario_intervals_do_not_depend_on_the_other_scenarios(monkeypatch, fa
         assert drawn == [d[2 * i : 2 * i + 2] for d in joint], sc
         drawn.clear()
 
-    real_fit, fits = sim.fit_scores, []
+    real_estimates, calls = sim.point_estimates, []
     model = tuple(sim._MODEL_COLUMNS[letter] for letter in failing)  # (cols_y, cols_r)
 
-    def flaky(*args, cols_r, cols_y, **kwargs):
-        if (cols_y, cols_r) == model:
-            fits.append(None)
-            if len(fits) == 2:
+    def flaky(plan, fit, a, b):
+        if (fit.cols_y, fit.cols_r) == model:
+            calls.append(None)
+            if len(calls) == 2:
                 raise Separation("forced")
-        return real_fit(*args, cols_r=cols_r, cols_y=cols_y, **kwargs)
+        return real_estimates(plan, fit, a, b)
 
-    monkeypatch.setattr(sim, "fit_scores", flaky)
+    monkeypatch.setattr(sim, "point_estimates", flaky)
     reports = run_scenario_table(spec)
     gone = 2 * sim.SCENARIOS.index(failing)
     assert drawn == [joint[0], joint[1][:gone] + joint[1][gone + 2 :], joint[2]]
@@ -679,21 +679,21 @@ def test_all_failures_raise(monkeypatch):
 
 
 def test_failure_counts_under_its_scenario_only(monkeypatch):
-    # The second FT fit (replication 1) fails; the other scenarios of that
-    # replication, and FT in every other replication, still count.
+    # FT's second estimation (replication 1) fails; the other scenarios of
+    # that replication, and FT in every other replication, still count.
     from dsm.errors import Separation
 
-    real = sim.fit_scores
-    ft_fits = []
+    real = sim.point_estimates
+    ft_calls = []
 
-    def flaky(*args, cols_r, cols_y, **kwargs):
-        if len(cols_y) == 3 and len(cols_r) == 4:
-            ft_fits.append(None)
-            if len(ft_fits) == 2:
+    def flaky(plan, fit, a, b):
+        if len(fit.cols_y) == 3 and len(fit.cols_r) == 4:
+            ft_calls.append(None)
+            if len(ft_calls) == 2:
                 raise Separation("forced")
-        return real(*args, cols_r=cols_r, cols_y=cols_y, **kwargs)
+        return real(plan, fit, a, b)
 
-    monkeypatch.setattr(sim, "fit_scores", flaky)
+    monkeypatch.setattr(sim, "point_estimates", flaky)
     reports = run_scenario_table(SMALL)
     assert reports["FT"].n_ok == 3 and reports["FT"].failures == ("Separation",)
     assert np.array_equal(
@@ -701,6 +701,81 @@ def test_failure_counts_under_its_scenario_only(monkeypatch):
     )
     for sc in ("TT", "TF", "FF"):
         assert reports[sc].n_ok == 4 and reports[sc].n_failed == 0
+
+
+def _counted_fits(monkeypatch, fail=None, at=None):
+    """Patch sim.fit_scores to record each call's (cols_y, cols_r) and to
+    raise Separation on call number `at` (0-based) with columns `fail`."""
+    from dsm.errors import Separation
+
+    real, calls = sim.fit_scores, []
+
+    def counted(*args, cols_r, cols_y, **kwargs):
+        calls.append((cols_y, cols_r))
+        if (cols_y, cols_r) == fail and calls.count(fail) == at + 1:
+            raise Separation("forced")
+        return real(*args, cols_r=cols_r, cols_y=cols_y, **kwargs)
+
+    monkeypatch.setattr(sim, "fit_scores", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", NONLINEARITY_MODES)
+def test_mixed_fit_is_the_fit_of_its_columns(monkeypatch, mode):
+    # A mixed scenario's fit, assembled from the halves of the two pure
+    # fits, is bitwise the fit_scores fit of its own columns, field by field.
+    real, seen = sim._fits, []
+
+    def recorded(a, b, scenarios):
+        fits = real(a, b, scenarios)
+        seen.append((a, b, fits))
+        return fits
+
+    monkeypatch.setattr(sim, "_fits", recorded)
+    run_scenario_table(replace(SMALL, n_reps=2, nonlinearity=mode))
+    assert len(seen) == 2
+    for a, b, fits in seen:
+        for sc in ("FT", "TF"):
+            cols_y, cols_r = (sim._MODEL_COLUMNS[letter] for letter in sc)
+            want = sim.fit_scores(a, b, cols_r=cols_r, cols_y=cols_y)
+            for field in fields(want):
+                ours, theirs = getattr(fits[sc], field.name), getattr(want, field.name)
+                if isinstance(theirs, np.ndarray):
+                    assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+                elif field.name in ("a", "b"):
+                    assert ours is theirs
+                else:
+                    assert type(ours) is type(theirs) and ours == theirs, (sc, field.name)
+
+
+@pytest.mark.parametrize("scenarios, n_fits", [
+    (sim.SCENARIOS, 2),
+    (("FT",), 1),
+    (("FT", "FF", "TF"), 3),
+])
+def test_each_model_is_fitted_once_per_replication(monkeypatch, scenarios, n_fits):
+    # Mixed scenarios reuse the two pure fits only when both are requested.
+    calls = _counted_fits(monkeypatch)
+    reports = run_scenario_table(replace(SMALL, n_reps=1), scenarios)
+    assert len(calls) == n_fits == len(set(calls))
+    assert all(rep.n_ok == 1 for rep in reports.values())
+
+
+def test_failed_pure_fit_leaves_mixed_scenarios_their_own_fits(monkeypatch):
+    # FF's fit fails in replication 1, so there FT and TF fit their own
+    # columns; they and TT report bitwise what they report unforced, and FF
+    # counts the one failure.
+    unforced = run_scenario_table(SMALL)
+    ff = (sim._MODEL_COLUMNS["F"],) * 2
+    calls = _counted_fits(monkeypatch, fail=ff, at=1)
+    reports = run_scenario_table(SMALL)
+    per_rep = [calls[:2], calls[2:6], calls[6:8], calls[8:10]]
+    assert len(calls) == 10 and all(len(set(rep)) == len(rep) for rep in per_rep)
+    assert set(per_rep[1]) == {tuple(sim._MODEL_COLUMNS[letter] for letter in sc)
+                               for sc in sim.SCENARIOS}
+    for sc in ("TT", "FT", "TF"):
+        assert pickle.dumps(reports[sc]) == pickle.dumps(unforced[sc]), sc
+    assert reports["FF"].failures == ("Separation",) and reports["FF"].n_ok == 3
 
 
 def test_scenario_table_draws_each_population_once(monkeypatch):
