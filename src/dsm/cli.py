@@ -107,6 +107,8 @@ def cmd_impute(args):
 def cmd_estimate(args):
     """Write the full estimate report: point estimates, analytic
     variance, and percentile-inverted bootstrap intervals."""
+    if args.n_boot < 2:
+        raise ValueError(f"--bootstrap must be at least 2, got {args.n_boot}")
     bs = BootstrapSpec(n_draws=args.n_boot, alpha=args.alpha, seed=args.seed)
     _worker_count()  # a bad DSM_THREADS fails before any CSV is read
     a, b = _load(args)
@@ -264,13 +266,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"impute": cmd_impute, "estimate": cmd_estimate, "simulate": cmd_simulate}
     try:
-        # Checked before any work, so a run cannot finish with nowhere to write.
+        # Checked before any work, so a run cannot finish with nowhere to
+        # write, nor write over its own input.
         out_dir = os.path.dirname(args.out) or "."
         if not os.path.isdir(out_dir):
             raise FileNotFoundError(errno.ENOENT, "no such directory", out_dir)
         for path in (args.out, args.out + ".meta"):
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            for option in ("sample-a", "sample-b"):  # simulate reads no input
+                source = getattr(args, option.replace("-", "_"), None)
+                if (source and os.path.exists(path) and os.path.exists(source)
+                        and os.path.samefile(path, source)):
+                    raise FileExistsError(errno.EEXIST, f"output would overwrite --{option}", path)
         for option in ("reps", "m", "j"):  # before any CSV is read or any work done
             value = getattr(args, option, None)
             if value is not None and value < 1:

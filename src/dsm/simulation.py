@@ -33,7 +33,7 @@ from .errors import (
 )
 from .estimators import point_estimates
 from .matching import find_matches
-from .scores import SampleA, SampleB, ScoreFit, _expit, build_score_matrix, fit_scores
+from .scores import SampleA, SampleB, _expit, build_score_matrix, fit_scores
 from .uncertainty import (
     BootstrapSpec,
     _corrected_column,
@@ -319,7 +319,12 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
     shared by every scenario, which only chooses each model's columns; so
     a replication is identical no matter how the work is scheduled.  A
     package error while drawing or building them fails every scenario.
-    Each model is fitted once per column set (see _fits).
+    A model sees only its own columns, so the pure scenarios (TT, FF) hold
+    every distinct fit; they run first.  When both fit, a mixed scenario
+    takes its propensity half from the pure fit of its sampling letter and
+    its prognostic half from the other: the very numbers fit_scores
+    computes from those columns.  Otherwise it calls fit_scores itself, so
+    it fails, or not, exactly as it would alone.
     """
     rng = np.random.default_rng([spec.seed, s])
     try:
@@ -339,13 +344,17 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
         "target_pop": float(pop.cond_mean.mean()),
         "sample_a_mean": float(a.y.mean()),
     }
-    results, columns, flags = {}, [], []
-    fits = _fits(a, b, scenarios)
-    for scenario in scenarios:
-        fit = fits[scenario]
+    results, columns, flags, pure = {}, [], [], {}
+    for y, r in sorted(scenarios, key=lambda sc: sc[0] != sc[1]):  # the pure ones first
         try:
-            if isinstance(fit, DsmError):
-                raise fit
+            if y != r and y in pure and r in pure:
+                prog = pure[y]
+                fit = replace(pure[r], theta_y=prog.theta_y, g=prog.g, sd_g=prog.sd_g,
+                              cols_y=prog.cols_y)
+            else:
+                fit = fit_scores(a, b, cols_r=_MODEL_COLUMNS[r], cols_y=_MODEL_COLUMNS[y])
+                if y == r:
+                    pure[y] = fit
             with warnings.catch_warnings():
                 # distorted-covariate modes raise extreme-propensity warnings wholesale;
                 # they are dropped (recording min/max propensity is ROADMAP item 5)
@@ -353,10 +362,10 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
                 plan = find_matches(build_score_matrix(a, b, fit), spec.m, d_b=b.d)
                 est = point_estimates(plan, fit, a, b)
         except DsmError as err:
-            results[scenario] = ("fail", type(err).__name__)
+            results[y + r] = ("fail", type(err).__name__)
             continue
         out = dict(shared, **{k: getattr(est, k) for k in _TARGET_OF if k not in shared})
-        results[scenario] = ("ok", out)
+        results[y + r] = ("ok", out)
         if bs is not None:
             columns += [_corrected_column(plan, fit, a, b, est.mu_b_debiased, weighted=False),
                         _corrected_column(plan, fit, a, b, est.mu_dsm_debiased, weighted=True)]
@@ -365,30 +374,6 @@ def _replicate(spec: ScenarioSpec, scenarios, s: int) -> dict:
     for (out, flag, target), ci in zip(flags, _intervals(bs, columns) if columns else ()):
         out[flag] = float(ci.lo < out[target] < ci.hi)
     return results
-
-
-def _fits(a, b, scenarios) -> dict:
-    """{scenario: its ScoreFit, or the package error its fit raised}.
-
-    A model sees only its own columns, so the pure scenarios (TT, FF) hold
-    every distinct fit.  When both are requested and fit, a mixed scenario
-    takes its propensity half from the pure fit of its sampling letter and
-    its prognostic half from the other: the very numbers fit_scores
-    computes from those columns.  Otherwise it calls fit_scores itself, so
-    it fails, or not, exactly as it would alone.
-    """
-    fits = {}
-    for y, r in sorted(scenarios, key=lambda sc: sc[0] != sc[1]):  # the pure scenarios first
-        prop, prog = fits.get(r + r), fits.get(y + y)
-        if y != r and isinstance(prop, ScoreFit) and isinstance(prog, ScoreFit):
-            fits[y + r] = replace(prop, theta_y=prog.theta_y, g=prog.g, sd_g=prog.sd_g,
-                                  cols_y=prog.cols_y)
-            continue
-        try:
-            fits[y + r] = fit_scores(a, b, cols_r=_MODEL_COLUMNS[r], cols_y=_MODEL_COLUMNS[y])
-        except DsmError as err:
-            fits[y + r] = err
-    return fits
 
 
 # Estimator name -> target series it chases.
@@ -472,8 +457,8 @@ def _report(results, scenario: str, spec: ScenarioSpec) -> SimReport:
 def _run(specs, scenarios=SCENARIOS) -> list:
     """One {scenario: SimReport} per spec, all their replications in one run."""
     names = tuple(dict.fromkeys(scenarios))
-    if not set(names) <= set(SCENARIOS):
-        raise ValueError(f"scenario must be one of {SCENARIOS}")
+    if not names or not set(names) <= set(SCENARIOS):
+        raise ValueError(f"scenario must be one of {SCENARIOS}, got {names}")
     jobs = [(spec, names, s) for spec in specs for s in range(spec.n_reps)]
     workers = min(_worker_count(), len(jobs))
     if workers > 1:

@@ -390,6 +390,37 @@ def test_bad_interval_settings_exit_before_loading(sample_files, tmp_path, monke
     assert main(_base_args("estimate", pa, pb, tmp_path / "o.csv", **extra)) == 3
 
 
+def test_bootstrap_below_two_is_named_before_loading(sample_files, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "load_samples", _never_called)
+    pa, pb = sample_files
+    assert main(_base_args("estimate", pa, pb, tmp_path / "o.csv", bootstrap=1)) == 3
+    assert capsys.readouterr().err == "dsm: --bootstrap must be at least 2, got 1\n"
+
+
+@pytest.mark.parametrize("command", ["impute", "estimate"])
+@pytest.mark.parametrize("option", ["sample-a", "sample-b"])
+@pytest.mark.parametrize("spelling", ["same", "link", "meta"])
+def test_output_over_an_input_exits_before_loading(
+        sample_files, tmp_path, monkeypatch, capsys, command, option, spelling):
+    # --out, or its .meta sidecar, naming an input file (through a symlink
+    # too) exits 2 with that path before any work, and the input is untouched.
+    monkeypatch.setattr(cli, "load_samples", _never_called)
+    pa, pb = sample_files
+    source = Path(pa if option == "sample-a" else pb)
+    out = {"same": source, "link": tmp_path / "link.csv", "meta": tmp_path / "o.csv"}[spelling]
+    if spelling == "link":
+        out.symlink_to(source)
+    if spelling == "meta":
+        source = source.rename(tmp_path / "o.csv.meta")
+        pa, pb = (str(source), pb) if option == "sample-a" else (pa, str(source))
+    before = source.read_bytes()
+    assert main(_base_args(command, pa, pb, out)) == 2
+    blocked = out if spelling != "meta" else source
+    assert capsys.readouterr().err == f"dsm: {blocked}: output would overwrite --{option}\n"
+    assert source.read_bytes() == before
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_estimate_missing_out_dir_exits_before_loading(sample_files, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "load_samples", _never_called)
     pa, pb = sample_files

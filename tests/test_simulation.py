@@ -613,7 +613,9 @@ def test_scenario_intervals_do_not_depend_on_the_other_scenarios(monkeypatch, fa
     together = run_scenario_table(spec)
     joint, drawn[:] = list(drawn), []
     assert [len(d) for d in joint] == [8, 8, 8]
-    for i, sc in enumerate(sim.SCENARIOS):
+    order = ["TT", "FF", "FT", "TF"]  # a replication runs the pure scenarios first
+    for sc in sim.SCENARIOS:
+        i = order.index(sc)
         assert pickle.dumps(run_monte_carlo(spec, sc)) == pickle.dumps(together[sc]), sc
         assert drawn == [d[2 * i : 2 * i + 2] for d in joint], sc
         drawn.clear()
@@ -630,7 +632,7 @@ def test_scenario_intervals_do_not_depend_on_the_other_scenarios(monkeypatch, fa
 
     monkeypatch.setattr(sim, "point_estimates", flaky)
     reports = run_scenario_table(spec)
-    gone = 2 * sim.SCENARIOS.index(failing)
+    gone = 2 * order.index(failing)
     assert drawn == [joint[0], joint[1][:gone] + joint[1][gone + 2 :], joint[2]]
     for sc in sim.SCENARIOS:
         if sc != failing:
@@ -724,22 +726,25 @@ def _counted_fits(monkeypatch, fail=None, at=None):
 def test_mixed_fit_is_the_fit_of_its_columns(monkeypatch, mode):
     # A mixed scenario's fit, assembled from the halves of the two pure
     # fits, is bitwise the fit_scores fit of its own columns, field by field.
-    real, seen = sim._fits, []
+    real, seen = sim.build_score_matrix, []
 
-    def recorded(a, b, scenarios):
-        fits = real(a, b, scenarios)
-        seen.append((a, b, fits))
-        return fits
+    def recorded(a, b, fit):
+        seen.append((a, b, fit))
+        return real(a, b, fit)
 
-    monkeypatch.setattr(sim, "_fits", recorded)
+    monkeypatch.setattr(sim, "build_score_matrix", recorded)
     run_scenario_table(replace(SMALL, n_reps=2, nonlinearity=mode))
-    assert len(seen) == 2
-    for a, b, fits in seen:
+    assert len(seen) == 2 * 4  # each scenario's fit, in both replications
+    for rep in (seen[:4], seen[4:]):
+        a, b, _ = rep[0]
+        fits = {(fit.cols_y, fit.cols_r): fit for _, _, fit in rep}
+        assert len(fits) == 4 and all(ra is a and rb is b for ra, rb, _ in rep)
         for sc in ("FT", "TF"):
             cols_y, cols_r = (sim._MODEL_COLUMNS[letter] for letter in sc)
             want = sim.fit_scores(a, b, cols_r=cols_r, cols_y=cols_y)
             for field in fields(want):
-                ours, theirs = getattr(fits[sc], field.name), getattr(want, field.name)
+                ours = getattr(fits[cols_y, cols_r], field.name)
+                theirs = getattr(want, field.name)
                 if isinstance(theirs, np.ndarray):
                     assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
                 elif field.name in ("a", "b"):
@@ -776,6 +781,23 @@ def test_failed_pure_fit_leaves_mixed_scenarios_their_own_fits(monkeypatch):
     for sc in ("TT", "FT", "TF"):
         assert pickle.dumps(reports[sc]) == pickle.dumps(unforced[sc]), sc
     assert reports["FF"].failures == ("Separation",) and reports["FF"].n_ok == 3
+
+
+@pytest.mark.parametrize("n_boot", [0, 30])
+def test_scenario_reports_do_not_depend_on_the_order_or_the_other_scenarios(
+        monkeypatch, n_boot):
+    # Whatever set of scenarios runs, and in whatever order, each one's
+    # report is bitwise its report run alone, at one worker or two, and the
+    # table lists them in the order asked.
+    spec = replace(SMALL, n_reps=3, n_boot=n_boot)
+    alone = {sc: pickle.dumps(run_monte_carlo(spec, sc)) for sc in sim.SCENARIOS}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DSM_THREADS", threads)
+        for scenarios in [("FF", "TT", "TF", "FT"), ("TF", "TT"), ("FF", "FT"), ("TF", "FT")]:
+            reports = run_scenario_table(spec, scenarios)
+            assert tuple(reports) == scenarios
+            for sc in scenarios:
+                assert pickle.dumps(reports[sc]) == alone[sc], (threads, scenarios, sc)
 
 
 def test_scenario_table_draws_each_population_once(monkeypatch):
@@ -862,6 +884,10 @@ def test_unknown_scenario_rejected_before_any_draw(monkeypatch):
         run_scenario_table(SMALL, ("TT", "ZZ"))
     with pytest.raises(ValueError, match="scenario must be one of"):
         run_monte_carlo(SMALL, "ZZ")
+    # So is an empty list, which would otherwise draw every population for nothing.
+    for empty in ((), [], iter(())):
+        with pytest.raises(ValueError, match=r"scenario must be one of .*, got \(\)"):
+            run_scenario_table(SMALL, empty)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
